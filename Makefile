@@ -1,6 +1,6 @@
 PYTHON ?= python3
 
-.PHONY: fixtures reproduce test
+.PHONY: check fixtures reproduce test
 
 # materialize every built-in example file under ./fixtures
 fixtures:
@@ -12,3 +12,10 @@ reproduce:
 
 test:
 	$(PYTHON) -m pytest -v
+
+# everything that must pass before a change lands: the tier-1 suite, the
+# reproduction script's checks, and the benchmark harness's own tests
+check:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -q --continue-on-collection-errors
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) scripts/reproduce_examples.py
+	$(PYTHON) -m pytest bench/tests -q

@@ -1,10 +1,14 @@
 """Categorical datasets and discrete probability tables.
 
-Cells hold string state labels; a missing cell is None (MISSING). CSV files
-carry a header row, and empty or "NA" cells read back as missing. Column state
-spaces are either declared explicitly (e.g. by the sampler, so states unseen
-in a finite sample stay known) or inferred as the sorted distinct observed
-labels.
+A dataset is stored by column, as one small-int numpy array of state codes
+per column: a code indexes the column's state tuple, and -1 marks a missing
+cell. Every count goes through one kernel over those codes,
+`DiscreteDataset.count_cells`. The label view, in which a cell is its string
+state label and a missing cell is None (MISSING), is built on first use. CSV
+files carry a header row, and empty or "NA" cells read back as missing.
+Column state spaces are either declared explicitly (e.g. by the sampler, so
+states unseen in a finite sample stay known) or inferred as the sorted
+distinct observed labels.
 """
 
 from __future__ import annotations
@@ -12,9 +16,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import EmptySelection, SchemaMismatch
 
@@ -23,12 +32,32 @@ MISSING = None
 Row = tuple[Optional[str], ...]
 
 
+def _code_dtype(labels: Sequence[str]) -> np.dtype:
+    """The smallest signed integer type holding -1 .. len(labels) - 1."""
+    return np.min_scalar_type(-len(labels) - 1)
+
+
+def _encode(column: str, cells: Iterable, labels: Sequence[str], missing) -> np.ndarray:
+    """Code one column's label cells; the labels in `missing` become -1."""
+    index = {s: i for i, s in enumerate(labels)} | dict.fromkeys(missing, -1)
+    try:
+        return np.fromiter(map(index.__getitem__, cells), dtype=_code_dtype(labels))
+    except KeyError as exc:
+        raise SchemaMismatch(
+            f"value {exc.args[0]!r} outside declared states of column {column!r}"
+        ) from None
+
+
 class DiscreteDataset:
-    """A fixed-schema table of categorical records.
+    """A fixed-schema table of categorical records, stored by column.
 
     columns: ordered column names.
     states: per-column tuple of admissible state labels.
-    rows: list of per-record tuples aligned with `columns`; None means missing.
+    codes: per-column array of state codes, each the index of the cell's
+        label in the column's states, or -1 for a missing cell. Datasets
+        derived from one another share these arrays; nothing writes to them.
+    rows: the records as label tuples aligned with `columns`, None meaning
+        missing; built from the codes on first use.
     """
 
     def __init__(
@@ -37,41 +66,69 @@ class DiscreteDataset:
         rows: Iterable[Row],
         states: Mapping[str, Sequence[str]] | None = None,
     ):
+        rows = [tuple(r) for r in rows]
+        for r in rows:
+            if len(r) != len(columns):
+                raise SchemaMismatch(
+                    f"row of width {len(r)} in a {len(columns)}-column dataset"
+                )
+        self._fill(columns, rows, states, (MISSING,))
+        self._rows: list[Row] | None = rows
+
+    def _fill(self, columns, rows, states, missing) -> None:
+        """Set the schema and the codes from label rows of equal width."""
+        # column by column: zip(*rows) allocates an iterator per row, and the
+        # garbage collector's passes over those cost more than the parse
+        cells = [list(map(itemgetter(j), rows)) for j in range(len(columns))]
+        if states is None:
+            states = {
+                c: sorted(set(col).difference(missing))
+                for c, col in zip(columns, cells)
+            }
+        self._set_schema(columns, states)
+        self.codes = {
+            c: _encode(c, col, self.states[c], missing)
+            for c, col in zip(self.columns, cells)
+        }
+        self._n = len(rows)
+
+    def _set_schema(self, columns, states: Mapping[str, Sequence[str]]) -> None:
         self.columns: tuple[str, ...] = tuple(columns)
         if len(set(self.columns)) != len(self.columns):
             raise SchemaMismatch("duplicate column names")
-        self.rows: list[Row] = [tuple(r) for r in rows]
-        for r in self.rows:
-            if len(r) != len(self.columns):
-                raise SchemaMismatch(
-                    f"row of width {len(r)} in a {len(self.columns)}-column dataset"
-                )
+        missing_cols = set(self.columns) - set(states)
+        if missing_cols:
+            raise SchemaMismatch(
+                f"no state list for columns: {sorted(missing_cols)}"
+            )
+        self.states: dict[str, tuple[str, ...]] = {
+            c: tuple(states[c]) for c in self.columns
+        }
+        for c, labels in self.states.items():
+            if len(set(labels)) != len(labels):
+                raise SchemaMismatch(f"duplicate states {labels} in column {c!r}")
 
-        if states is None:
-            inferred: dict[str, set[str]] = {c: set() for c in self.columns}
-            for r in self.rows:
-                for c, v in zip(self.columns, r):
-                    if v is not None:
-                        inferred[c].add(v)
-            self.states: dict[str, tuple[str, ...]] = {
-                c: tuple(sorted(vals)) for c, vals in inferred.items()
-            }
-        else:
-            missing_cols = set(self.columns) - set(states)
-            if missing_cols:
-                raise SchemaMismatch(
-                    f"no state list for columns: {sorted(missing_cols)}"
-                )
-            self.states = {c: tuple(states[c]) for c in self.columns}
-            for r in self.rows:
-                for c, v in zip(self.columns, r):
-                    if v is not None and v not in self.states[c]:
-                        raise SchemaMismatch(
-                            f"value {v!r} outside declared states of column {c!r}"
-                        )
+    @classmethod
+    def from_codes(
+        cls,
+        columns: Sequence[str],
+        codes: Mapping[str, np.ndarray],
+        states: Mapping[str, Sequence[str]],
+    ) -> "DiscreteDataset":
+        """A dataset over equal-length code arrays that index `states`
+        (-1 for missing); the codes are taken as they are, unchecked."""
+        ds = cls.__new__(cls)
+        ds._set_schema(columns, states)
+        ds.codes = {
+            c: np.asarray(codes[c], dtype=_code_dtype(ds.states[c]))
+            for c in ds.columns
+        }
+        ds._n = len(ds.codes[ds.columns[0]]) if ds.columns else 0
+        ds._rows = None
+        return ds
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._n
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteDataset):
@@ -82,6 +139,22 @@ class DiscreteDataset:
             and self.rows == other.rows
         )
 
+    def _decode(self, column: str, codes: np.ndarray, missing=MISSING) -> list:
+        """Codes of `column` as labels, `missing` where a code is -1."""
+        lookup = np.array(self.states[column] + (missing,), dtype=object)
+        return lookup[codes].tolist()
+
+    def _label_rows(self, names: Sequence[str], missing=MISSING) -> list[tuple]:
+        """Label tuples over `names`, `missing` in the missing cells."""
+        cols = [self._decode(n, self._column(n), missing) for n in names]
+        return list(zip(*cols)) if names else [()] * self._n
+
+    @property
+    def rows(self) -> list[Row]:
+        if self._rows is None:
+            self._rows = self._label_rows(self.columns)
+        return self._rows
+
     def column_index(self, name: str) -> int:
         try:
             return self.columns.index(name)
@@ -91,23 +164,57 @@ class DiscreteDataset:
     def column_states(self, name: str) -> tuple[str, ...]:
         return self.states[self.columns[self.column_index(name)]]
 
+    def _column(self, name: str) -> np.ndarray:
+        return self.codes[self.columns[self.column_index(name)]]
+
+    def _complete(self, names: Sequence[str]) -> np.ndarray:
+        """Mask of the rows observed in every named column."""
+        keep = np.ones(self._n, dtype=bool)
+        for name in names:
+            keep &= self._column(name) >= 0
+        return keep
+
     def project(
         self, names: Sequence[str], complete_only: bool = True
     ) -> list[Row]:
         """Rows restricted to `names`; with complete_only, rows missing any
         of those cells are dropped."""
-        idx = [self.column_index(n) for n in names]
-        out = []
-        for r in self.rows:
-            vals = tuple(r[i] for i in idx)
-            if complete_only and any(v is None for v in vals):
-                continue
-            out.append(vals)
-        return out
+        rows = self._label_rows(names)
+        if complete_only:
+            rows = list(compress(rows, self._complete(names).tolist()))
+        return rows
+
+    def count_cells(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Complete-case joint counts over the named columns, nonzero cells only.
+
+        Returns (cells, counts): row i of the (k, len(names)) array `cells`
+        holds the state codes of one observed combination, in lexicographic
+        code order, and counts[i] how many rows complete over `names` have
+        it. While the joint state space is no larger than the row count, the
+        counts are one bincount over the raveled codes; beyond that the
+        distinct code rows are sorted and counted, so no table larger than
+        the data is allocated.
+        """
+        keep = self._complete(names)
+        if not names:  # the empty combination, observed in every row
+            k = min(self._n, 1)
+            return np.zeros((k, 0), dtype=np.intp), np.full(k, self._n)
+        cols = [self.codes[n][keep] for n in names]
+        shape = tuple(len(self.states[n]) for n in names)
+        space = math.prod(shape)
+        if space > self._n:
+            return np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)
+        flat = np.bincount(np.ravel_multi_index(cols, shape), minlength=space)
+        nonzero = np.flatnonzero(flat)
+        return np.stack(np.unravel_index(nonzero, shape), axis=1), flat[nonzero]
 
     def counts(self, names: Sequence[str]) -> Counter:
-        """Complete-case joint counts over the named columns."""
-        return Counter(self.project(names))
+        """Complete-case joint counts over the named columns, keyed by label
+        tuple; unobserved combinations are absent."""
+        cells, counts = self.count_cells(names)
+        labels = [self._decode(n, cells[:, j]) for j, n in enumerate(names)]
+        keys = zip(*labels) if names else [()] * len(counts)
+        return Counter(dict(zip(keys, counts.tolist())))
 
     def with_columns(
         self, new_columns: Mapping[str, Sequence[Optional[str]]],
@@ -115,16 +222,17 @@ class DiscreteDataset:
     ) -> "DiscreteDataset":
         """Copy with extra columns appended."""
         for name, col in new_columns.items():
-            if len(col) != len(self.rows):
+            if len(col) != self._n:
                 raise SchemaMismatch(f"column {name!r} has wrong length")
-        names = list(new_columns)
-        rows = [
-            r + tuple(new_columns[n][i] for n in names)
-            for i, r in enumerate(self.rows)
-        ]
         states = dict(self.states)
-        states.update({n: tuple(new_states[n]) for n in names})
-        return DiscreteDataset(self.columns + tuple(names), rows, states)
+        states.update({n: tuple(new_states[n]) for n in new_columns})
+        codes = dict(self.codes)
+        codes.update(
+            (n, _encode(n, col, states[n], (MISSING,))) for n, col in new_columns.items()
+        )
+        return DiscreteDataset.from_codes(
+            self.columns + tuple(new_columns), codes, states
+        )
 
     # -- CSV ----------------------------------------------------------------
 
@@ -132,8 +240,7 @@ class DiscreteDataset:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.columns)
-        for r in self.rows:
-            writer.writerow(["NA" if v is None else v for v in r])
+        writer.writerows(self._label_rows(self.columns, "NA"))
         return buf.getvalue()
 
     def save_csv(self, path) -> None:
@@ -149,18 +256,16 @@ class DiscreteDataset:
             header = next(reader)
         except StopIteration:
             raise SchemaMismatch("empty CSV: no header row") from None
-        rows = []
-        for raw in reader:
-            if not raw:
-                continue
+        rows = [raw for raw in reader if raw]
+        for raw in rows:
             if len(raw) != len(header):
                 raise SchemaMismatch(
                     f"row of width {len(raw)} under a {len(header)}-column header"
                 )
-            rows.append(
-                tuple(None if v in ("", "NA") else v for v in raw)
-            )
-        return cls(header, rows, states)
+        ds = cls.__new__(cls)
+        ds._fill(header, rows, states, ("", "NA"))
+        ds._rows = None
+        return ds
 
     @classmethod
     def load_csv(

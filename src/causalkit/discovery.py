@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
-
-from scipy.stats import chi2
 
 from .data import DiscreteDataset
 from .errors import EmptySelection, InsufficientData, SchemaMismatch
@@ -58,14 +56,16 @@ def ci_test(
     """
     if x == y:
         raise SchemaMismatch("x and y must differ")
+    from scipy.special import chdtrc  # here, so importing causalkit loads no scipy
+
     zcols = sorted(z)
-    rows = ds.project([x, y] + zcols)
-    if not rows:
+    counts = ds.counts([x, y] + zcols)
+    if not counts:
         raise EmptySelection(f"no complete rows over {[x, y] + zcols}")
 
-    strata: dict[tuple, Counter] = {}
-    for r in rows:
-        strata.setdefault(r[2:], Counter())[(r[0], r[1])] += 1
+    strata: dict[tuple, Counter] = defaultdict(Counter)
+    for (xv, yv, *zv), c in counts.items():
+        strata[tuple(zv)][(xv, yv)] = c
 
     statistic = 0.0
     dof = 0
@@ -90,7 +90,7 @@ def ci_test(
                 statistic += (observed - expected) ** 2 / expected
         dof += (len(xs) - 1) * (len(ys) - 1)
 
-    p_value = float(chi2.sf(statistic, dof)) if dof > 0 else 1.0
+    p_value = float(chdtrc(dof, statistic)) if dof > 0 else 1.0
     return CiResult(
         x=x,
         y=y,
@@ -181,9 +181,10 @@ def pc_skeleton(
     """PC adjacency search: start complete, remove edges found independent.
 
     Conditioning sets of sizes 0..max_cond_size are drawn from the current
-    adjacencies of each endpoint, in lexicographic order. Supply `ci_fn`
-    (returning True for independence) to run against an oracle instead of
-    data; InsufficientData from the data-driven test propagates.
+    adjacencies of each endpoint, in lexicographic order; a set drawn from
+    both endpoints is tested once. Supply `ci_fn` (returning True for
+    independence) to run against an oracle instead of data; InsufficientData
+    from the data-driven test propagates.
     """
     if ci_fn is None:
         if ds is None:
@@ -208,11 +209,17 @@ def pc_skeleton(
             (a, b) for a, b in combinations(names, 2) if b in adj[a]
         ]:
             severed = False
+            tried: set[tuple[str, ...]] = set()
             for side, other in ((a, b), (b, a)):
                 candidates = sorted(adj[side] - {other})
                 if len(candidates) < level:
                     continue
                 for cond in combinations(candidates, level):
+                    # a set already drawn from the other endpoint was
+                    # found dependent; asking again cannot change that
+                    if cond in tried:
+                        continue
+                    tried.add(cond)
                     if ci_fn(a, b, cond):
                         adj[a].discard(b)
                         adj[b].discard(a)
@@ -375,13 +382,12 @@ class _BicCache:
 
     def __init__(self, ds: DiscreteDataset):
         names = sorted(ds.columns)
-        rows = ds.project(names)
-        if not rows:
+        self.full = ds.counts(names)
+        if not self.full:
             raise EmptySelection("no complete rows")
         self.names = names
-        self.n = len(rows)
+        self.n = sum(self.full.values())
         self.states = {v: ds.column_states(v) for v in names}
-        self.full = Counter(rows)
         self._cache: dict[frozenset, float] = {}
 
     def _counts(self, subset: tuple[str, ...]) -> Counter:

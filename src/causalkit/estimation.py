@@ -36,16 +36,12 @@ def empirical_conditional(
     for col, val in given.items():
         _check_value(ds, col, val)
     cols = [target] + sorted(given)
-    rows = ds.project(cols)
     want = tuple(given[c] for c in cols[1:])
-    hits = [r[0] for r in rows if r[1:] == want]
+    hits = {k[0]: c for k, c in ds.counts(cols).items() if k[1:] == want}
     if not hits:
         raise EmptyStratum(dict(given))
-    total = len(hits)
-    return {
-        s: sum(1 for v in hits if v == s) / total
-        for s in ds.column_states(target)
-    }
+    total = sum(hits.values())
+    return {s: hits.get(s, 0) / total for s in ds.column_states(target)}
 
 
 def _stratum_counts(
@@ -53,19 +49,19 @@ def _stratum_counts(
 ):
     """Joint complete-case counts over (x, y, z...) plus stratum rollups."""
     zcols = list(z)
-    rows = ds.project([x, y] + zcols)
-    if not rows:
+    counts = ds.counts([x, y] + zcols)
+    if not counts:
         raise EmptySelection(f"no complete rows over {[x, y] + zcols}")
     joint: dict[tuple, int] = {}
     per_stratum: dict[tuple, int] = {}
     per_stratum_x: dict[tuple, dict[str, int]] = {}
-    for r in rows:
-        xv, yv, zv = r[0], r[1], r[2:]
-        joint[(xv, yv, zv)] = joint.get((xv, yv, zv), 0) + 1
-        per_stratum[zv] = per_stratum.get(zv, 0) + 1
+    for (xv, yv, *zv), c in counts.items():
+        zv = tuple(zv)
+        joint[(xv, yv, zv)] = c
+        per_stratum[zv] = per_stratum.get(zv, 0) + c
         per_stratum_x.setdefault(zv, {})
-        per_stratum_x[zv][xv] = per_stratum_x[zv].get(xv, 0) + 1
-    return joint, per_stratum, per_stratum_x, len(rows)
+        per_stratum_x[zv][xv] = per_stratum_x[zv].get(xv, 0) + c
+    return joint, per_stratum, per_stratum_x, sum(per_stratum.values())
 
 
 def backdoor_adjust(

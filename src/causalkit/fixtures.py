@@ -11,8 +11,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .bandits import BanditEnv, env_to_dict
-from .data import MISSING, DiscreteDataset
+from .data import DiscreteDataset
 from .graph import CausalGraph, Node, NodeKind, graph_to_dict
 from .missing import MGraph, mgraph_to_dict
 from .scm import Cpt, DiscreteScm, scm_to_dict
@@ -255,13 +257,9 @@ def covid_study_dataset(n: int, seed: int) -> DiscreteDataset:
     on enrolled subjects (S = 1); everyone's risk, infection status, and
     test choice remain on record."""
     ds = covid_scm().sample(n, seed)
-    a_idx = ds.column_index("antibody")
-    s_idx = ds.column_index("S")
-    rows = [
-        r[:a_idx] + (MISSING if r[s_idx] == "0" else r[a_idx],) + r[a_idx + 1 :]
-        for r in ds.rows
-    ]
-    return DiscreteDataset(ds.columns, rows, dict(ds.states))
+    off_study = ds.codes["S"] == ds.states["S"].index("0")
+    codes = dict(ds.codes, antibody=np.where(off_study, -1, ds.codes["antibody"]))
+    return DiscreteDataset.from_codes(ds.columns, codes, ds.states)
 
 
 def age_stratum_effects() -> StratumEffects:

@@ -18,13 +18,14 @@ statement remains testable from partially observed rows.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import MISSING, DiscreteDataset, ProbTable
+from .data import DiscreteDataset, ProbTable
 from .errors import (
     EmptyStratum,
     InvalidCpt,
@@ -34,7 +35,7 @@ from .errors import (
     UnmatchedPattern,
 )
 from .graph import CausalGraph, NodeKind, graph_from_dict, graph_to_dict
-from .scm import Cpt
+from .scm import Cpt, draw_codes
 
 
 class Mechanism(str, Enum):
@@ -210,57 +211,34 @@ def apply_missingness(
                 f"{g.parents(r)}"
             )
 
-    n = len(ds)
-    rng = np.random.default_rng(seed)
-    columns: dict[str, np.ndarray] = {}
     for name in ds.columns:
-        idx = ds.column_index(name)
-        col = [row[idx] for row in ds.rows]
-        if any(v is None for v in col):
+        if (ds.codes[name] < 0).any():
             raise SchemaMismatch(
                 f"pre-masking dataset has missing cells in column {name!r}"
             )
-        columns[name] = np.asarray(col, dtype=object)
 
-    r_values: dict[str, np.ndarray] = {}
+    rng = np.random.default_rng(seed)
+    codes = dict(ds.codes)
+    states = dict(ds.states)
+    r_names = sorted(mg.indicators())
     for r in order:
         cpt = r_cpts[r]
-        out = np.zeros(n, dtype=np.int64)
-        parent_cols = []
         for p in cpt.parents:
-            if p in r_values:
-                parent_cols.append(
-                    np.asarray([str(v) for v in r_values[p]], dtype=object)
-                )
-            elif p in columns:
-                parent_cols.append(columns[p])
-            else:
+            if p not in codes:
                 raise SchemaMismatch(
                     f"indicator parent {p!r} is not a dataset column"
                 )
-        for combo in sorted(cpt.rows):
-            mask = np.ones(n, dtype=bool)
-            for arr, val in zip(parent_cols, combo):
-                mask &= arr == val
-            count = int(mask.sum())
-            if count:
-                out[mask] = rng.choice(2, size=count, p=cpt.rows[combo])
-        r_values[r] = out
-
-    masked_rows = []
-    col_idx = {c: i for i, c in enumerate(ds.columns)}
-    masked_of = {mg.partial[v][0]: v for v in mg.partial}
-    for i, row in enumerate(ds.rows):
-        cells = list(row)
-        for r, var in masked_of.items():
-            if r_values[r][i] == 1:
-                cells[col_idx[var]] = MISSING
-        masked_rows.append(tuple(cells))
-
-    r_names = sorted(r_values)
-    new_cols = {r: ["1" if v == 1 else "0" for v in r_values[r]] for r in r_names}
-    base = DiscreteDataset(ds.columns, masked_rows, ds.states)
-    return base.with_columns(new_cols, {r: ("0", "1") for r in r_names})
+        codes[r] = draw_codes(
+            cpt,
+            [codes[p] for p in cpt.parents],
+            [states[p] for p in cpt.parents],
+            len(ds),
+            rng,
+        )
+        states[r] = cpt.states
+    for v, (r, _) in mg.partial.items():
+        codes[v] = np.where(codes[r] == 1, -1, ds.codes[v])
+    return DiscreteDataset.from_codes(ds.columns + tuple(r_names), codes, states)
 
 
 def _match_two_var_family(mg: MGraph, variables: Sequence[str]):
@@ -319,53 +297,48 @@ def recover_joint(
     x_states = ds.column_states(cause)
     y_states = ds.column_states(outcome)
 
-    def conditional_y(rows: list, x_val: str) -> dict[str, float]:
-        hits = [r[1] for r in rows if r[0] == x_val]
-        if not hits:
+    def observed(lead: list[str], indicators: list[str]) -> Counter:
+        """Counts over `lead` among the rows whose `indicators` all read 0."""
+        out: Counter = Counter()
+        for k, c in ds.counts(lead + indicators).items():
+            if all(v == "0" for v in k[len(lead):]):
+                out[k[: len(lead)]] += c
+        return out
+
+    def conditional_y(xy: Counter, x_val: str) -> dict[str, float]:
+        total = sum(c for (xv, _), c in xy.items() if xv == x_val)
+        if not total:
             raise EmptyStratum({cause: x_val})
-        return {s: sum(1 for v in hits if v == s) / len(hits) for s in y_states}
+        return {s: xy[(x_val, s)] / total for s in y_states}
 
     entries: dict[tuple[str, str], float] = {}
     if family == "a":
-        rows = [
-            r[:2]
-            for r in ds.project([cause, outcome, r_y])
-            if r[2] == "0"
-        ]
-        total = len(rows)
+        xy = observed([cause, outcome], [r_y])
+        total = sum(xy.values())
         if total == 0:
             raise EmptyStratum({r_y: "0"})
-        for xv, yv in rows:
-            entries[(xv, yv)] = entries.get((xv, yv), 0.0) + 1.0 / total
-    elif family == "b":
-        x_col = ds.project([cause])
-        n = len(x_col)
-        rows = [
-            r[:2] for r in ds.project([cause, outcome, r_y]) if r[2] == "0"
-        ]
+        for key, c in xy.items():
+            # 1/total added once per record; c / total can differ in the last bit
+            p = 0.0
+            for _ in range(c):
+                p += 1.0 / total
+            entries[key] = p
+    else:
+        if family == "b":
+            x_counts = observed([cause], [])
+            xy = observed([cause, outcome], [r_y])
+        else:  # family d
+            r_x = mg.indicator_of(cause)
+            x_counts = observed([cause], [r_x])
+            if not x_counts:
+                raise EmptyStratum({r_x: "0"})
+            xy = observed([cause, outcome], [r_x, r_y])
+        n = sum(x_counts.values())
         for xv in x_states:
-            p_x = sum(1 for (v,) in x_col if v == xv) / n
+            p_x = x_counts[(xv,)] / n
             if p_x == 0.0:
                 continue
-            cond = conditional_y(rows, xv)
-            for yv in y_states:
-                if cond[yv]:
-                    entries[(xv, yv)] = p_x * cond[yv]
-    else:  # family d
-        r_x = mg.indicator_of(cause)
-        x_rows = [r for r in ds.project([cause, r_x]) if r[1] == "0"]
-        if not x_rows:
-            raise EmptyStratum({r_x: "0"})
-        rows = [
-            r[:2]
-            for r in ds.project([cause, outcome, r_x, r_y])
-            if r[2] == "0" and r[3] == "0"
-        ]
-        for xv in x_states:
-            p_x = sum(1 for v, _ in x_rows if v == xv) / len(x_rows)
-            if p_x == 0.0:
-                continue
-            cond = conditional_y(rows, xv)
+            cond = conditional_y(xy, xv)
             for yv in y_states:
                 if cond[yv]:
                     entries[(xv, yv)] = p_x * cond[yv]

@@ -298,35 +298,44 @@ class DiscreteScm:
         arrays: dict[str, np.ndarray] = {}
         for name in self.graph.topological_order():
             cpt = self._cpts[name]
-            k = len(cpt.states)
-            if not cpt.parents:
-                arrays[name] = rng.choice(k, size=n, p=cpt.rows[()])
-                continue
-            out = np.zeros(n, dtype=np.int64)
-            parent_arrays = [arrays[p] for p in cpt.parents]
-            parent_states = [self._cpts[p].states for p in cpt.parents]
-            for combo in sorted(cpt.rows):
-                mask = np.ones(n, dtype=bool)
-                for arr, states, val in zip(parent_arrays, parent_states, combo):
-                    mask &= arr == states.index(val)
-                count = int(mask.sum())
-                if count:
-                    out[mask] = rng.choice(k, size=count, p=cpt.rows[combo])
-            arrays[name] = out
+            arrays[name] = draw_codes(
+                cpt,
+                [arrays[p] for p in cpt.parents],
+                [self._cpts[p].states for p in cpt.parents],
+                n,
+                rng,
+            )
 
         emitted = [
             node.name
             for node in self.graph.nodes
             if include_latent or node.kind is not NodeKind.LATENT
         ]
-        labeled = {
-            name: np.asarray(self._cpts[name].states, dtype=object)[arrays[name]]
-            for name in emitted
-        }
-        rows = list(zip(*(labeled[name] for name in emitted))) if emitted else []
-        return DiscreteDataset(
-            emitted, rows, {name: self._cpts[name].states for name in emitted}
+        return DiscreteDataset.from_codes(
+            emitted, arrays, {name: self._cpts[name].states for name in emitted}
         )
+
+
+def draw_codes(
+    cpt: Cpt,
+    parent_codes: Sequence[np.ndarray],
+    parent_states: Sequence[Sequence[str]],
+    n: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """State codes of cpt's node drawn for n records, given the records'
+    parent state codes: one `rng.choice` per parent configuration present,
+    in sorted configuration order."""
+    out = np.zeros(n, dtype=np.int64)
+    for combo in sorted(cpt.rows):
+        mask = np.ones(n, dtype=bool)
+        for arr, states, val in zip(parent_codes, parent_states, combo):
+            # -2 matches no code: the data has no records in that state
+            mask &= arr == (states.index(val) if val in states else -2)
+        count = int(mask.sum())
+        if count:
+            out[mask] = rng.choice(len(cpt.states), size=count, p=cpt.rows[combo])
+    return out
 
 
 # -- JSON interchange -----------------------------------------------------------

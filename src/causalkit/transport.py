@@ -93,24 +93,21 @@ def stratified_debias(
         raise UnknownState(y, y_val)
     scols = list(strata)
 
-    base = [r for r in ds.project([x] + scols) if r[0] == x_val]
-    if not base:
+    weight_counts = {
+        k[1:]: c for k, c in ds.counts([x] + scols).items() if k[0] == x_val
+    }
+    if not weight_counts:
         raise EmptySelection(f"no rows with {x}={x_val} complete over {scols}")
-    weight_counts: dict[tuple, int] = {}
-    for r in base:
-        weight_counts[r[1:]] = weight_counts.get(r[1:], 0) + 1
-    n_base = len(base)
+    n_base = sum(weight_counts.values())
 
-    outcome_rows = [
-        r for r in ds.project([x, y] + scols) if r[0] == x_val
-    ]
     cond_hits: dict[tuple, int] = {}
     cond_totals: dict[tuple, int] = {}
-    for r in outcome_rows:
-        sv = r[2:]
-        cond_totals[sv] = cond_totals.get(sv, 0) + 1
-        if r[1] == y_val:
-            cond_hits[sv] = cond_hits.get(sv, 0) + 1
+    for (xv, yv, *sv), c in ds.counts([x, y] + scols).items():
+        if xv == x_val:
+            sv = tuple(sv)
+            cond_totals[sv] = cond_totals.get(sv, 0) + c
+            if yv == y_val:
+                cond_hits[sv] = c
 
     total = 0.0
     for sv in sorted(weight_counts):

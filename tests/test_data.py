@@ -52,6 +52,13 @@ def test_declared_states_checked():
     assert ds.rows == [(None,)]
 
 
+def test_duplicate_declared_states_rejected():
+    with pytest.raises(SchemaMismatch):
+        DiscreteDataset(["x"], [("0",)], {"x": ("0", "0", "1")})
+    with pytest.raises(SchemaMismatch):
+        DiscreteDataset.from_csv("x\n0\n", {"x": ("1", "0", "1")})
+
+
 def test_declared_states_must_cover_all_columns():
     with pytest.raises(SchemaMismatch):
         DiscreteDataset(["x", "y"], [], states={"x": ("0",)})

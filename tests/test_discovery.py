@@ -1,11 +1,16 @@
 """Structure learning: the CI test, PC search, and greedy BIC hill-climb."""
 
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from scipy.stats import chi2
 
+import causalkit
 from causalkit import (
     CausalGraph,
     DiscreteDataset,
@@ -232,6 +237,59 @@ def test_pattern_of_dag_matches_oracle_pc():
         assert pattern_of_dag(graph) == pc(
             ci_fn=dsep_ci_fn(graph), variables=graph.node_names()
         )
+
+
+def test_pc_asks_each_statement_once():
+    graphs = [
+        fx.collider_chain_graph(),
+        fx.kidney_graph(),
+        CausalGraph(["X", "Z", "W"], [("X", "Z"), ("Z", "W")]),
+        CausalGraph(
+            ["A", "B", "C", "D", "E"],
+            [("A", "C"), ("B", "C"), ("C", "D"), ("D", "E")],
+        ),
+    ]
+    for graph in graphs:
+        asked = []
+        oracle = dsep_ci_fn(graph)
+
+        def recording(a, b, cond):
+            asked.append((a, b, cond))
+            return oracle(a, b, cond)
+
+        pattern = pc(ci_fn=recording, variables=graph.node_names())
+        assert len(asked) == len(set(asked))
+        assert pattern == pattern_of_dag(graph)
+
+    # on data: every (a, b, cond) once, e.g. the empty set for each pair
+    # is not re-tested from the second endpoint
+    asked = []
+    for seed in range(5):
+        ds = fx.collider_chain_scm().sample(10000, seed)
+
+        def recording(a, b, cond):
+            asked.append((seed, a, b, cond))
+            return ci_test(ds, a, b, cond).independent
+
+        assert pc(ci_fn=recording, variables=ds.columns) == pc(ds)
+    assert len(asked) == len(set(asked)) == 90
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = Path(causalkit.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, causalkit, causalkit.cli; print('scipy.stats' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_pc_argument_validation():
