@@ -2,13 +2,12 @@
 
 A dataset is stored by column, as one small-int numpy array of state codes
 per column: a code indexes the column's state tuple, and -1 marks a missing
-cell. Every count goes through one kernel over those codes,
-`DiscreteDataset.count_cells`. The label view, in which a cell is its string
-state label and a missing cell is None (MISSING), is built on first use. CSV
-files carry a header row, and empty or "NA" cells read back as missing.
-Column state spaces are either declared explicitly (e.g. by the sampler, so
-states unseen in a finite sample stay known) or inferred as the sorted
-distinct observed labels.
+cell. Every count is taken on those codes by `DiscreteDataset.counts`. The
+label view, in which a cell is its string state label and a missing cell is
+None (MISSING), is built on first use. CSV files carry a header row, and
+empty or "NA" cells read back as missing. Column state spaces are either
+declared explicitly (e.g. by the sampler, so states unseen in a finite
+sample stay known) or inferred as the sorted distinct observed labels.
 """
 
 from __future__ import annotations
@@ -37,15 +36,32 @@ def _code_dtype(labels: Sequence[str]) -> np.dtype:
     return np.min_scalar_type(-len(labels) - 1)
 
 
-def _encode(column: str, cells: Iterable, labels: Sequence[str], missing) -> np.ndarray:
-    """Code one column's label cells; the labels in `missing` become -1."""
-    index = {s: i for i, s in enumerate(labels)} | dict.fromkeys(missing, -1)
-    try:
-        return np.fromiter(map(index.__getitem__, cells), dtype=_code_dtype(labels))
-    except KeyError as exc:
-        raise SchemaMismatch(
-            f"value {exc.args[0]!r} outside declared states of column {column!r}"
-        ) from None
+def _by_column(rows: list, width: int) -> list[list]:
+    # itemgetter per column: zip(*rows) allocates an iterator per row, and
+    # the garbage collector's passes over those cost more than the parse
+    return [list(map(itemgetter(j), rows)) for j in range(width)]
+
+
+def _encode(columns, cells, states, missing) -> tuple[dict, Mapping]:
+    """(codes, states) of per-column label cells; states are inferred when
+    None, and a label in `missing` is coded -1."""
+    if states is None:
+        states = {
+            c: sorted(set(col).difference(missing)) for c, col in zip(columns, cells)
+        }
+    codes = {}
+    for c, col in zip(columns, cells):
+        if c not in states:
+            continue  # DiscreteDataset._set reports it
+        labels = states[c]
+        index = {s: i for i, s in enumerate(labels)} | dict.fromkeys(missing, -1)
+        try:
+            codes[c] = np.fromiter(map(index.__getitem__, col), _code_dtype(labels))
+        except KeyError as exc:
+            raise SchemaMismatch(
+                f"value {exc.args[0]!r} outside declared states of column {c!r}"
+            ) from None
+    return codes, states
 
 
 class DiscreteDataset:
@@ -72,27 +88,11 @@ class DiscreteDataset:
                 raise SchemaMismatch(
                     f"row of width {len(r)} in a {len(columns)}-column dataset"
                 )
-        self._fill(columns, rows, states, (MISSING,))
-        self._rows: list[Row] | None = rows
+        cells = _by_column(rows, len(columns))
+        self._set(columns, *_encode(columns, cells, states, (MISSING,)), len(rows))
 
-    def _fill(self, columns, rows, states, missing) -> None:
-        """Set the schema and the codes from label rows of equal width."""
-        # column by column: zip(*rows) allocates an iterator per row, and the
-        # garbage collector's passes over those cost more than the parse
-        cells = [list(map(itemgetter(j), rows)) for j in range(len(columns))]
-        if states is None:
-            states = {
-                c: sorted(set(col).difference(missing))
-                for c, col in zip(columns, cells)
-            }
-        self._set_schema(columns, states)
-        self.codes = {
-            c: _encode(c, col, self.states[c], missing)
-            for c, col in zip(self.columns, cells)
-        }
-        self._n = len(rows)
-
-    def _set_schema(self, columns, states: Mapping[str, Sequence[str]]) -> None:
+    def _set(self, columns, codes, states, n: int) -> None:
+        """Check the schema, then hold n records of the given code columns."""
         self.columns: tuple[str, ...] = tuple(columns)
         if len(set(self.columns)) != len(self.columns):
             raise SchemaMismatch("duplicate column names")
@@ -107,24 +107,19 @@ class DiscreteDataset:
         for c, labels in self.states.items():
             if len(set(labels)) != len(labels):
                 raise SchemaMismatch(f"duplicate states {labels} in column {c!r}")
+        self.codes = {
+            c: np.asarray(codes[c], dtype=_code_dtype(self.states[c]))
+            for c in self.columns
+        }
+        self._n = n
+        self._rows: list[Row] | None = None
 
     @classmethod
-    def from_codes(
-        cls,
-        columns: Sequence[str],
-        codes: Mapping[str, np.ndarray],
-        states: Mapping[str, Sequence[str]],
-    ) -> "DiscreteDataset":
-        """A dataset over equal-length code arrays that index `states`
-        (-1 for missing); the codes are taken as they are, unchecked."""
+    def _from_codes(cls, columns, codes, states, n: int) -> "DiscreteDataset":
+        """A dataset over n records of code arrays that index `states`, -1
+        for missing; the codes are taken unchecked."""
         ds = cls.__new__(cls)
-        ds._set_schema(columns, states)
-        ds.codes = {
-            c: np.asarray(codes[c], dtype=_code_dtype(ds.states[c]))
-            for c in ds.columns
-        }
-        ds._n = len(ds.codes[ds.columns[0]]) if ds.columns else 0
-        ds._rows = None
+        ds._set(columns, codes, states, n)
         return ds
 
     def __len__(self) -> int:
@@ -139,14 +134,12 @@ class DiscreteDataset:
             and self.rows == other.rows
         )
 
-    def _decode(self, column: str, codes: np.ndarray, missing=MISSING) -> list:
-        """Codes of `column` as labels, `missing` where a code is -1."""
-        lookup = np.array(self.states[column] + (missing,), dtype=object)
-        return lookup[codes].tolist()
-
     def _label_rows(self, names: Sequence[str], missing=MISSING) -> list[tuple]:
         """Label tuples over `names`, `missing` in the missing cells."""
-        cols = [self._decode(n, self._column(n), missing) for n in names]
+        cols = []
+        for n in names:
+            lookup = np.array(self.column_states(n) + (missing,), dtype=object)
+            cols.append(lookup[self._column(n)].tolist())
         return list(zip(*cols)) if names else [()] * self._n
 
     @property
@@ -184,37 +177,35 @@ class DiscreteDataset:
             rows = list(compress(rows, self._complete(names).tolist()))
         return rows
 
-    def count_cells(self, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """Complete-case joint counts over the named columns, nonzero cells only.
-
-        Returns (cells, counts): row i of the (k, len(names)) array `cells`
-        holds the state codes of one observed combination, in lexicographic
-        code order, and counts[i] how many rows complete over `names` have
-        it. While the joint state space is no larger than the row count, the
-        counts are one bincount over the raveled codes; beyond that the
-        distinct code rows are sorted and counted, so no table larger than
-        the data is allocated.
-        """
-        keep = self._complete(names)
-        if not names:  # the empty combination, observed in every row
-            k = min(self._n, 1)
-            return np.zeros((k, 0), dtype=np.intp), np.full(k, self._n)
-        cols = [self.codes[n][keep] for n in names]
-        shape = tuple(len(self.states[n]) for n in names)
-        space = math.prod(shape)
-        if space > self._n:
-            return np.unique(np.stack(cols, axis=1), axis=0, return_counts=True)
-        flat = np.bincount(np.ravel_multi_index(cols, shape), minlength=space)
-        nonzero = np.flatnonzero(flat)
-        return np.stack(np.unravel_index(nonzero, shape), axis=1), flat[nonzero]
-
     def counts(self, names: Sequence[str]) -> Counter:
         """Complete-case joint counts over the named columns, keyed by label
-        tuple; unobserved combinations are absent."""
-        cells, counts = self.count_cells(names)
-        labels = [self._decode(n, cells[:, j]) for j, n in enumerate(names)]
-        keys = zip(*labels) if names else [()] * len(counts)
-        return Counter(dict(zip(keys, counts.tolist())))
+        tuple; unobserved combinations are absent.
+
+        The rows complete over `names` are counted on their codes: one
+        bincount over the raveled codes while the joint state space is no
+        larger than the row count, else a count of the distinct code rows,
+        so no table larger than the data is allocated. The observed cells,
+        a table of at most that many rows, are then projected to labels.
+        """
+        keep = self._complete(names)
+        cols = [self._column(n)[keep] for n in names]
+        shape = [len(self.column_states(n)) for n in names]
+        space = math.prod(shape)
+        if names and space <= self._n:
+            flat = np.bincount(np.ravel_multi_index(cols, shape), minlength=space)
+            seen = np.flatnonzero(flat)
+            cells, tally = np.unravel_index(seen, shape), flat[seen]
+        else:
+            rows = np.stack(cols, axis=1) if names else np.empty((int(keep.sum()), 0))
+            cells, tally = np.unique(rows, axis=0, return_counts=True)
+            cells = cells.T
+        table = DiscreteDataset._from_codes(
+            dict.fromkeys(names),
+            dict(zip(names, cells)),
+            {n: self.column_states(n) for n in names},
+            len(tally),
+        )
+        return Counter(dict(zip(table.project(names), tally.tolist())))
 
     def with_columns(
         self, new_columns: Mapping[str, Sequence[Optional[str]]],
@@ -224,14 +215,15 @@ class DiscreteDataset:
         for name, col in new_columns.items():
             if len(col) != self._n:
                 raise SchemaMismatch(f"column {name!r} has wrong length")
-        states = dict(self.states)
-        states.update({n: tuple(new_states[n]) for n in new_columns})
-        codes = dict(self.codes)
-        codes.update(
-            (n, _encode(n, col, states[n], (MISSING,))) for n, col in new_columns.items()
+        names = list(new_columns)
+        added, states = _encode(
+            names, [new_columns[n] for n in names], new_states, (MISSING,)
         )
-        return DiscreteDataset.from_codes(
-            self.columns + tuple(new_columns), codes, states
+        return DiscreteDataset._from_codes(
+            self.columns + tuple(names),
+            self.codes | added,
+            {**self.states, **states},
+            self._n,
         )
 
     # -- CSV ----------------------------------------------------------------
@@ -262,10 +254,10 @@ class DiscreteDataset:
                 raise SchemaMismatch(
                     f"row of width {len(raw)} under a {len(header)}-column header"
                 )
-        ds = cls.__new__(cls)
-        ds._fill(header, rows, states, ("", "NA"))
-        ds._rows = None
-        return ds
+        cells = _by_column(rows, len(header))
+        return cls._from_codes(
+            header, *_encode(header, cells, states, ("", "NA")), len(rows)
+        )
 
     @classmethod
     def load_csv(

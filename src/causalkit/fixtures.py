@@ -259,7 +259,7 @@ def covid_study_dataset(n: int, seed: int) -> DiscreteDataset:
     ds = covid_scm().sample(n, seed)
     off_study = ds.codes["S"] == ds.states["S"].index("0")
     codes = dict(ds.codes, antibody=np.where(off_study, -1, ds.codes["antibody"]))
-    return DiscreteDataset.from_codes(ds.columns, codes, ds.states)
+    return DiscreteDataset._from_codes(ds.columns, codes, ds.states, len(ds))
 
 
 def age_stratum_effects() -> StratumEffects:

@@ -238,7 +238,9 @@ def apply_missingness(
         states[r] = cpt.states
     for v, (r, _) in mg.partial.items():
         codes[v] = np.where(codes[r] == 1, -1, ds.codes[v])
-    return DiscreteDataset.from_codes(ds.columns + tuple(r_names), codes, states)
+    return DiscreteDataset._from_codes(
+        ds.columns + tuple(r_names), codes, states, len(ds)
+    )
 
 
 def _match_two_var_family(mg: MGraph, variables: Sequence[str]):

@@ -311,8 +311,8 @@ class DiscreteScm:
             for node in self.graph.nodes
             if include_latent or node.kind is not NodeKind.LATENT
         ]
-        return DiscreteDataset.from_codes(
-            emitted, arrays, {name: self._cpts[name].states for name in emitted}
+        return DiscreteDataset._from_codes(
+            emitted, arrays, {name: self._cpts[name].states for name in emitted}, n
         )
 
 

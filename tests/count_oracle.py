@@ -3,7 +3,7 @@
 Each function walks `DiscreteDataset.rows`, the label view, in Python and
 counts records one at a time with a `Counter`: the way the library counted
 before datasets were stored as integer-coded columns. Nothing here calls
-`count_cells` or `counts`, and the chi-square tail comes from
+`counts`, and the chi-square tail comes from
 `scipy.stats.chi2.sf` rather than the library's `scipy.special.chdtrc`, so
 agreement with the library is a genuine two-route check.
 """

@@ -54,14 +54,10 @@ def outcome(fn, *args, **kwargs):
 def test_kernel_equals_counter_route_on_random_tables(data):
     ds = data.draw(tables())
     names = data.draw(st.lists(st.sampled_from(ds.columns), max_size=4))
-    want = oracle.counts(ds, names)
-    assert ds.counts(names) == want
+    got = ds.counts(names)
+    assert got == oracle.counts(ds, names)
+    assert 0 not in got.values()
     assert ds.project(names) == oracle.project(ds, names)
-
-    cells, counts = ds.count_cells(names)
-    keys = [tuple(row) for row in cells.tolist()]
-    assert keys == sorted(set(keys))
-    assert (counts > 0).all() and int(counts.sum()) == sum(want.values())
 
     distinct = list(dict.fromkeys(names))
     if len(distinct) >= 2:
