@@ -8,21 +8,26 @@ structure discovery, and fixture export.
 Conventions: `--out text` (default) prints probabilities with three
 decimals, `--out json` prints full precision; randomized subcommands
 require `--seed`; all referenced files are read and parsed before any
-computation runs. Exit codes: 0 on success, 1 when the computation raises
-a domain error, 2 for usage, file, or parse problems. The environment
-variable CAUSALKIT_MAX_NODES overrides the path-enumeration node cap.
+computation runs. Every input file goes through `_load` and every output
+file (`--save`, `fixtures --dest`) through `_write`. Exit codes: 0 on
+success, 1 when the computation raises a domain error, 2 for usage
+problems and for a file that cannot be read, does not parse, or cannot be
+written. The environment variable CAUSALKIT_MAX_NODES overrides the
+path-enumeration node cap, which only `selection-check` reaches.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from pathlib import Path
 from typing import Optional
 
 from . import fixtures
-from .bandits import env_from_dict, make_policy, simulate
+from .bandits import env_from_json, make_policy, simulate
 from .data import DiscreteDataset
 from .discovery import greedy_score_search, pc
 from .errors import CausalKitError
@@ -32,102 +37,45 @@ from .estimation import (
     compute_ace,
     detect_simpson_reversal,
 )
-from .graph import CausalGraph, graph_from_dict, set_max_nodes
+from .graph import graph_from_json, graph_to_dict, set_max_nodes
 from .missing import (
     NOT_RECOVERABLE,
-    MGraph,
     apply_missingness,
     classify_mechanism,
     is_ci_testable,
-    mgraph_from_dict,
+    mask_cpts_from_json,
+    mgraph_from_json,
     recover_joint,
 )
-from .scm import Cpt, DiscreteScm, scm_from_dict
+from .scm import scm_from_json
 from .transport import StratumEffects, detect_selection_bias, stratified_debias, transport_estimate
 
 
-class _InputError(Exception):
-    """A referenced file is missing, unreadable, or does not parse."""
+class _FileError(Exception):
+    """A file cannot be read, does not parse, or cannot be written."""
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, what: str, parse):
+    """Read `path` and build a `what` from its text with `parse`."""
     try:
         with open(path) as fh:
-            return fh.read()
+            text = fh.read()
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_json(path: str) -> dict:
-    text = _read_text(path)
+        raise _FileError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise _InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_graph(path: str) -> CausalGraph:
-    payload = _load_json(path)
-    try:
-        return graph_from_dict(payload)
+        return parse(text)
+    except json.JSONDecodeError as exc:
+        raise _FileError(f"{path} is not valid JSON: {exc}") from exc
     except (CausalKitError, KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path} is not a valid graph: {exc}") from exc
+        raise _FileError(f"{path} is not a valid {what}: {exc}") from exc
 
 
-def _load_scm(path: str) -> DiscreteScm:
-    payload = _load_json(path)
+def _write(path, text: str) -> None:
     try:
-        return scm_from_dict(payload)
-    except (CausalKitError, KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path} is not a valid model: {exc}") from exc
-
-
-def _load_mgraph(path: str) -> MGraph:
-    payload = _load_json(path)
-    try:
-        return mgraph_from_dict(payload)
-    except (CausalKitError, KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path} is not a valid missingness graph: {exc}") from exc
-
-
-def _load_dataset(path: str) -> DiscreteDataset:
-    text = _read_text(path)
-    try:
-        return DiscreteDataset.from_csv(text)
-    except (CausalKitError, ValueError) as exc:
-        raise _InputError(f"{path} is not a valid dataset: {exc}") from exc
-
-
-def _load_effects(path: str) -> StratumEffects:
-    payload = _load_json(path)
-    try:
-        return StratumEffects.from_dict(payload)
-    except (CausalKitError, KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path} is not a valid effects file: {exc}") from exc
-
-
-def _load_env(path: str):
-    payload = _load_json(path)
-    try:
-        return env_from_dict(payload)
-    except (CausalKitError, KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path} is not a valid bandit environment: {exc}") from exc
-
-
-def _load_mask_cpts(path: str) -> dict[str, Cpt]:
-    payload = _load_json(path)
-    try:
-        return {
-            name: Cpt(
-                name,
-                tuple(spec["parents"]),
-                tuple(spec["states"]),
-                {tuple(key): tuple(dist) for key, dist in spec["rows"]},
-            )
-            for name, spec in payload.items()
-        }
-    except (CausalKitError, KeyError, TypeError, ValueError) as exc:
-        raise _InputError(f"{path} is not a valid indicator-table file: {exc}") from exc
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _FileError(f"cannot write {path}: {exc}") from exc
 
 
 def _assignment(text: str) -> tuple[str, str]:
@@ -143,11 +91,25 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
+def _csv_result(ds: DiscreteDataset, save: Optional[str]):
+    """A table as CSV on stdout (rows in JSON), or written to `save`."""
+    csv_text = ds.to_csv()
+    if save:
+        _write(save, csv_text)
+        payload = {"rows": len(ds), "columns": list(ds.columns), "saved": save}
+        return payload, [f"wrote {len(ds)} rows to {save}"]
+    payload = {
+        "columns": list(ds.columns),
+        "rows": [[("" if v is None else v) for v in r] for r in ds.rows],
+    }
+    return payload, [csv_text.rstrip("\n")]
+
+
 # -- handlers (each returns (json_payload, text_lines)) ------------------------
 
 
 def _cmd_dsep(args):
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, "graph", graph_from_json)
     result = graph.is_d_separated(set(args.x), set(args.y), set(args.given))
     payload = {
         "x": sorted(args.x),
@@ -159,7 +121,7 @@ def _cmd_dsep(args):
 
 
 def _cmd_backdoor_check(args):
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, "graph", graph_from_json)
     result = graph.satisfies_backdoor_criterion(args.x, args.y, args.adjust)
     payload = {
         "x": args.x,
@@ -171,7 +133,7 @@ def _cmd_backdoor_check(args):
 
 
 def _cmd_identify(args):
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, "graph", graph_from_json)
     rule3 = graph.rule3_applicable(args.x, args.y)
     rule1 = graph.rule1_applicable(args.y, args.x, args.w, args.given)
     payload = {
@@ -192,23 +154,13 @@ def _cmd_identify(args):
 
 
 def _cmd_scm_sample(args):
-    scm = _load_scm(args.model)
+    scm = _load(args.model, "model", scm_from_json)
     ds = scm.sample(args.n, args.seed, include_latent=args.include_latent)
-    csv_text = ds.to_csv()
-    if args.save:
-        with open(args.save, "w") as fh:
-            fh.write(csv_text)
-        payload = {"rows": len(ds), "columns": list(ds.columns), "saved": args.save}
-        return payload, [f"wrote {len(ds)} rows to {args.save}"]
-    payload = {
-        "columns": list(ds.columns),
-        "rows": [list(r) for r in ds.rows],
-    }
-    return payload, [csv_text.rstrip("\n")]
+    return _csv_result(ds, args.save)
 
 
 def _cmd_scm_query(args):
-    scm = _load_scm(args.model)
+    scm = _load(args.model, "model", scm_from_json)
     if args.do:
         scm = scm.intervene(dict(args.do))
     target = dict(args.target)
@@ -226,7 +178,7 @@ def _cmd_scm_query(args):
 
 
 def _cmd_estimate_do(args):
-    ds = _load_dataset(args.data)
+    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
     x, x_val = args.x
     y, y_val = args.y
     estimator = backdoor_adjust_ratio if args.ratio else backdoor_adjust
@@ -243,7 +195,7 @@ def _cmd_estimate_do(args):
 
 
 def _cmd_estimate_ace(args):
-    ds = _load_dataset(args.data)
+    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
     y, y_val = args.y
     ace = compute_ace(ds, args.x, args.treat, args.control, y, y_val, args.adjust)
     payload = {
@@ -258,7 +210,7 @@ def _cmd_estimate_ace(args):
 
 
 def _cmd_estimate_simpson(args):
-    ds = _load_dataset(args.data)
+    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
     y, y_val = args.y
     report = detect_simpson_reversal(ds, args.x, y, y_val, args.strata)
     first, second = report.arms
@@ -295,7 +247,7 @@ def _cmd_estimate_simpson(args):
 
 
 def _cmd_selection_check(args):
-    graph = _load_graph(args.graph)
+    graph = _load(args.graph, "graph", graph_from_json)
     report = detect_selection_bias(graph, args.x, args.y)
     payload = {
         "x": report.x,
@@ -324,7 +276,7 @@ def _cmd_selection_check(args):
 
 
 def _cmd_debias(args):
-    ds = _load_dataset(args.data)
+    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
     x, x_val = args.x
     y, y_val = args.y
     estimate = stratified_debias(ds, x, x_val, y, y_val, args.strata)
@@ -338,43 +290,28 @@ def _cmd_debias(args):
 
 
 def _cmd_transport(args):
-    se = _load_effects(args.effects)
+    se = _load(args.effects, "effects file", StratumEffects.from_json)
     estimate = transport_estimate(se)
     payload = {"stratum": se.stratum, "estimate": estimate}
     return payload, [_fmt(estimate)]
 
 
 def _cmd_missing_classify(args):
-    mg = _load_mgraph(args.graph)
+    mg = _load(args.graph, "missingness graph", mgraph_from_json)
     mechanism = classify_mechanism(mg)
     return {"mechanism": mechanism.value}, [f"mechanism: {mechanism.value}"]
 
 
 def _cmd_missing_mask(args):
-    ds = _load_dataset(args.data)
-    mg = _load_mgraph(args.graph)
-    cpts = _load_mask_cpts(args.rcpt)
-    masked = apply_missingness(ds, mg, cpts, args.seed)
-    csv_text = masked.to_csv()
-    if args.save:
-        with open(args.save, "w") as fh:
-            fh.write(csv_text)
-        payload = {
-            "rows": len(masked),
-            "columns": list(masked.columns),
-            "saved": args.save,
-        }
-        return payload, [f"wrote {len(masked)} rows to {args.save}"]
-    payload = {
-        "columns": list(masked.columns),
-        "rows": [[("" if v is None else v) for v in r] for r in masked.rows],
-    }
-    return payload, [csv_text.rstrip("\n")]
+    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
+    mg = _load(args.graph, "missingness graph", mgraph_from_json)
+    cpts = _load(args.rcpt, "indicator-table file", mask_cpts_from_json)
+    return _csv_result(apply_missingness(ds, mg, cpts, args.seed), args.save)
 
 
 def _cmd_missing_recover(args):
-    ds = _load_dataset(args.data)
-    mg = _load_mgraph(args.graph)
+    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
+    mg = _load(args.graph, "missingness graph", mgraph_from_json)
     table = recover_joint(mg, ds, args.vars)
     if table is NOT_RECOVERABLE:
         return {"recoverable": False, "table": None}, ["NOT_RECOVERABLE"]
@@ -387,7 +324,7 @@ def _cmd_missing_recover(args):
 
 
 def _cmd_missing_testable(args):
-    mg = _load_mgraph(args.graph)
+    mg = _load(args.graph, "missingness graph", mgraph_from_json)
     result = is_ci_testable(mg, args.x, args.y, args.given)
     payload = {
         "x": sorted(args.x),
@@ -411,7 +348,7 @@ def _cmd_missing_testable(args):
 
 
 def _cmd_bandit_sim(args):
-    env = _load_env(args.env)
+    env = _load(args.env, "bandit environment", env_from_json)
     policy = make_policy(args.policy, epsilon=args.epsilon)
     result = simulate(
         env, policy, args.horizon, args.seed, regret_benchmark=args.benchmark
@@ -432,15 +369,14 @@ def _cmd_bandit_sim(args):
         + ", ".join(f"{a}: {_fmt(f)}" for a, f in tail_freq.items()),
     ]
     if args.save:
-        with open(args.save, "w") as fh:
-            fh.write(result.to_csv())
+        _write(args.save, result.to_csv())
         payload["saved"] = args.save
         lines.append(f"wrote per-round log to {args.save}")
     return payload, lines
 
 
 def _cmd_discover_pc(args):
-    ds = _load_dataset(args.data)
+    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
     pattern = pc(
         ds,
         alpha=args.alpha,
@@ -460,15 +396,10 @@ def _cmd_discover_pc(args):
 
 
 def _cmd_discover_ges(args):
-    ds = _load_dataset(args.data)
+    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
     graph, trace = greedy_score_search(ds)
     payload = {
-        "graph": {
-            "nodes": [
-                {"name": n.name, "kind": n.kind.value} for n in graph.nodes
-            ],
-            "edges": [[a, b] for a, b in sorted(graph.edges)],
-        },
+        "graph": graph_to_dict(graph),
         "score": trace[-1].score,
         "trace": [
             {
@@ -489,21 +420,29 @@ def _cmd_discover_ges(args):
 
 
 def _cmd_fixtures(args):
-    written = fixtures.write_all(args.dest)
-    payload = {"written": [str(p) for p in written]}
-    return payload, [f"wrote {p}" for p in written]
+    dest = Path(args.dest)
+    # a directory that cannot be made fails the first write, which names it
+    with contextlib.suppress(OSError):
+        dest.mkdir(parents=True, exist_ok=True)
+    files = fixtures.fixture_files()
+    for name, text in files.items():
+        _write(dest / name, text)
+    written = [str(dest / name) for name in files]
+    return {"written": written}, [f"wrote {p}" for p in written]
 
 
 # -- parser ---------------------------------------------------------------------
 
 
-def _add_out(p: argparse.ArgumentParser) -> None:
+def _finish(p: argparse.ArgumentParser, handler) -> None:
+    """Give a subcommand the shared `--out` flag and its handler."""
     p.add_argument(
         "--out",
         choices=("text", "json"),
         default="text",
         help="output format (text rounds to 3 decimals; json is full precision)",
     )
+    p.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,16 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", nargs="+", required=True)
     p.add_argument("--y", nargs="+", required=True)
     p.add_argument("--given", nargs="*", default=[])
-    _add_out(p)
-    p.set_defaults(handler=_cmd_dsep)
+    _finish(p, _cmd_dsep)
 
     p = sub.add_parser("backdoor-check", help="test the backdoor criterion")
     p.add_argument("--graph", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--adjust", nargs="*", default=[])
-    _add_out(p)
-    p.set_defaults(handler=_cmd_backdoor_check)
+    _finish(p, _cmd_backdoor_check)
 
     p = sub.add_parser("identify", help="report do-calculus rule applicability")
     p.add_argument("--graph", required=True)
@@ -535,8 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True, help="outcome node")
     p.add_argument("--w", nargs="*", default=[], help="observations to drop")
     p.add_argument("--given", nargs="*", default=[])
-    _add_out(p)
-    p.set_defaults(handler=_cmd_identify)
+    _finish(p, _cmd_identify)
 
     scm_p = sub.add_parser("scm", help="sample from or query a model")
     scm_sub = scm_p.add_subparsers(dest="subcommand", required=True)
@@ -547,16 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--save", help="write CSV here instead of stdout")
     p.add_argument("--include-latent", action="store_true")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_scm_sample)
+    _finish(p, _cmd_scm_sample)
 
     p = scm_sub.add_parser("query", help="exact probability by enumeration")
     p.add_argument("--model", required=True)
     p.add_argument("--target", nargs="+", type=_assignment, required=True)
     p.add_argument("--given", nargs="*", type=_assignment, default=[])
     p.add_argument("--do", nargs="*", type=_assignment, default=[])
-    _add_out(p)
-    p.set_defaults(handler=_cmd_scm_query)
+    _finish(p, _cmd_scm_query)
 
     est_p = sub.add_parser("estimate", help="adjustment-based estimation")
     est_sub = est_p.add_subparsers(dest="subcommand", required=True)
@@ -568,8 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adjust", nargs="*", default=[])
     p.add_argument("--smooth", action="store_true", help="Laplace (+1) smoothing")
     p.add_argument("--ratio", action="store_true", help="use the joint-ratio route")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_estimate_do)
+    _finish(p, _cmd_estimate_do)
 
     p = est_sub.add_parser("ace", help="average causal effect between two arms")
     p.add_argument("--data", required=True)
@@ -578,44 +511,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control", required=True)
     p.add_argument("--y", type=_assignment, required=True, metavar="Y=VAL")
     p.add_argument("--adjust", nargs="*", default=[])
-    _add_out(p)
-    p.set_defaults(handler=_cmd_estimate_ace)
+    _finish(p, _cmd_estimate_ace)
 
     p = est_sub.add_parser("simpson", help="aggregate-vs-stratified reversal check")
     p.add_argument("--data", required=True)
     p.add_argument("--x", required=True, help="binary treatment column")
     p.add_argument("--y", type=_assignment, required=True, metavar="Y=VAL")
     p.add_argument("--strata", nargs="+", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_estimate_simpson)
+    _finish(p, _cmd_estimate_simpson)
 
     p = sub.add_parser("selection-check", help="find selection-opened backdoor paths")
     p.add_argument("--graph", required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_selection_check)
+    _finish(p, _cmd_selection_check)
 
     p = sub.add_parser("debias", help="stratified estimate from a selection-masked table")
     p.add_argument("--data", required=True)
     p.add_argument("--x", type=_assignment, required=True, metavar="X=VAL")
     p.add_argument("--y", type=_assignment, required=True, metavar="Y=VAL")
     p.add_argument("--strata", nargs="+", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_debias)
+    _finish(p, _cmd_debias)
 
     p = sub.add_parser("transport", help="re-weight stratum effects to a new population")
     p.add_argument("--effects", required=True, help="StratumEffects JSON file")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_transport)
+    _finish(p, _cmd_transport)
 
     mis_p = sub.add_parser("missing", help="missingness-graph operations")
     mis_sub = mis_p.add_subparsers(dest="subcommand", required=True)
 
     p = mis_sub.add_parser("classify", help="MCAR / MAR / MNAR from the graph")
     p.add_argument("--graph", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_missing_classify)
+    _finish(p, _cmd_missing_classify)
 
     p = mis_sub.add_parser("mask", help="sample indicators and blank cells")
     p.add_argument("--data", required=True)
@@ -623,23 +550,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rcpt", required=True, help="indicator tables JSON")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--save", help="write CSV here instead of stdout")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_missing_mask)
+    _finish(p, _cmd_missing_mask)
 
     p = mis_sub.add_parser("recover", help="estimate a joint from masked data")
     p.add_argument("--data", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--vars", nargs="+", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_missing_recover)
+    _finish(p, _cmd_missing_recover)
 
     p = mis_sub.add_parser("testable", help="syntactic CI-testability check")
     p.add_argument("--graph", required=True)
     p.add_argument("--x", nargs="+", required=True)
     p.add_argument("--y", nargs="+", required=True)
     p.add_argument("--given", nargs="*", default=[])
-    _add_out(p)
-    p.set_defaults(handler=_cmd_missing_testable)
+    _finish(p, _cmd_missing_testable)
 
     ban_p = sub.add_parser("bandit", help="bandit simulation")
     ban_sub = ban_p.add_subparsers(dest="subcommand", required=True)
@@ -656,8 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--benchmark", choices=("conditional", "marginal"), default="conditional")
     p.add_argument("--save", help="write the per-round CSV log here")
-    _add_out(p)
-    p.set_defaults(handler=_cmd_bandit_sim)
+    _finish(p, _cmd_bandit_sim)
 
     dis_p = sub.add_parser("discover", help="structure learning from data")
     dis_sub = dis_p.add_subparsers(dest="subcommand", required=True)
@@ -667,18 +590,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--max-cond", type=int, default=3)
     p.add_argument("--min-expected", type=float, default=5.0)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_discover_pc)
+    _finish(p, _cmd_discover_pc)
 
     p = dis_sub.add_parser("ges", help="greedy BIC hill-climb")
     p.add_argument("--data", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_discover_ges)
+    _finish(p, _cmd_discover_ges)
 
     p = sub.add_parser("fixtures", help="write all built-in example files")
     p.add_argument("--dest", required=True)
-    _add_out(p)
-    p.set_defaults(handler=_cmd_fixtures)
+    _finish(p, _cmd_fixtures)
 
     return parser
 
@@ -696,7 +616,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, lines = args.handler(args)
-    except _InputError as exc:
+    except _FileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CausalKitError as exc:

@@ -8,16 +8,15 @@ are deterministic; sampling-based builders take explicit seeds.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .bandits import BanditEnv, env_to_dict
+from .bandits import BanditEnv, env_to_json
 from .data import DiscreteDataset
-from .graph import CausalGraph, Node, NodeKind, graph_to_dict
-from .missing import MGraph, mgraph_to_dict
-from .scm import Cpt, DiscreteScm, scm_to_dict
+from .graph import CausalGraph, Node, NodeKind, graph_to_json
+from .missing import MGraph, mask_cpts_to_json, mgraph_to_json
+from .scm import Cpt, DiscreteScm, scm_to_json
 from .transport import StratumEffects
 
 
@@ -435,30 +434,20 @@ STUDY_SAMPLE_SIZE = 100_000
 STUDY_SEED = 20230817
 
 
-def write_all(dest: str | Path) -> list[Path]:
-    """Materialize every fixture under `dest`; returns the written paths."""
-    dest = Path(dest)
-    dest.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def put(name: str, text: str) -> None:
-        path = dest / name
-        path.write_text(text)
-        written.append(path)
-
-    put("kidney.csv", kidney_dataset().to_csv())
-    put("kidney_graph.json", json.dumps(graph_to_dict(kidney_graph()), indent=2))
-    put("kidney_scm.json", json.dumps(scm_to_dict(kidney_scm()), indent=2))
-    put("confounded_scm.json", json.dumps(scm_to_dict(confounded_scm()), indent=2))
-    put("sprinkler_scm.json", json.dumps(scm_to_dict(sprinkler_scm()), indent=2))
-    put("smoking_graph.json", json.dumps(graph_to_dict(smoking_graph()), indent=2))
-    put("covid_graph.json", json.dumps(graph_to_dict(covid_graph()), indent=2))
-    put("covid_scm.json", json.dumps(scm_to_dict(covid_scm()), indent=2))
-    put(
-        "covid_study.csv",
-        covid_study_dataset(STUDY_SAMPLE_SIZE, STUDY_SEED).to_csv(),
-    )
-    put("age_strata.json", age_stratum_effects().to_json())
+def fixture_files() -> dict[str, str]:
+    """Every fixture as {file name: file text}, in export order."""
+    files = {
+        "kidney.csv": kidney_dataset().to_csv(),
+        "kidney_graph.json": graph_to_json(kidney_graph()),
+        "kidney_scm.json": scm_to_json(kidney_scm()),
+        "confounded_scm.json": scm_to_json(confounded_scm()),
+        "sprinkler_scm.json": scm_to_json(sprinkler_scm()),
+        "smoking_graph.json": graph_to_json(smoking_graph()),
+        "covid_graph.json": graph_to_json(covid_graph()),
+        "covid_scm.json": scm_to_json(covid_scm()),
+        "covid_study.csv": covid_study_dataset(STUDY_SAMPLE_SIZE, STUDY_SEED).to_csv(),
+        "age_strata.json": age_stratum_effects().to_json(),
+    }
     for name, builder in (
         ("mgraph_mcar", mgraph_mcar),
         ("mgraph_mar", mgraph_mar),
@@ -466,37 +455,27 @@ def write_all(dest: str | Path) -> list[Path]:
         ("mgraph_two_sided", mgraph_two_sided),
     ):
         mg = builder()
-        put(f"{name}.json", json.dumps(mgraph_to_dict(mg), indent=2))
-        put(
-            f"{name}_mask.json",
-            json.dumps(
-                {
-                    r: {
-                        "parents": list(cpt.parents),
-                        "states": list(cpt.states),
-                        "rows": [
-                            [list(k), list(v)] for k, v in sorted(cpt.rows.items())
-                        ],
-                    }
-                    for r, cpt in mask_cpts(mg).items()
-                },
-                indent=2,
-            ),
-        )
-    put("xy_scm.json", json.dumps(scm_to_dict(xy_scm()), indent=2))
-    put(
-        "collider_chain_graph.json",
-        json.dumps(graph_to_dict(collider_chain_graph()), indent=2),
-    )
-    put(
-        "collider_chain_scm.json",
-        json.dumps(scm_to_dict(collider_chain_scm()), indent=2),
-    )
+        files[f"{name}.json"] = mgraph_to_json(mg)
+        files[f"{name}_mask.json"] = mask_cpts_to_json(mask_cpts(mg))
+    files["xy_scm.json"] = scm_to_json(xy_scm())
+    files["collider_chain_graph.json"] = graph_to_json(collider_chain_graph())
+    files["collider_chain_scm.json"] = scm_to_json(collider_chain_scm())
     for name, env in (
         ("bandit_two_arm", two_arm_env()),
         ("bandit_five_arm", five_arm_env()),
         ("bandit_paradoxical", paradoxical_env()),
         ("bandit_single_intent", single_intent_env()),
     ):
-        put(f"{name}.json", json.dumps(env_to_dict(env), indent=2))
+        files[f"{name}.json"] = env_to_json(env)
+    return files
+
+
+def write_all(dest: str | Path) -> list[Path]:
+    """Materialize every fixture under `dest`; returns the written paths."""
+    dest = Path(dest)
+    dest.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    for name, text in fixture_files().items():
+        (dest / name).write_text(text)
+        written.append(dest / name)
     return written

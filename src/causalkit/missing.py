@@ -163,6 +163,39 @@ def mgraph_from_json(text: str) -> MGraph:
     return mgraph_from_dict(json.loads(text))
 
 
+def mask_cpts_to_dict(cpts: Mapping[str, Cpt]) -> dict:
+    """Indicator tables keyed by indicator: parents, states, and the rows as
+    [parent states, distribution] pairs in sorted order."""
+    return {
+        r: {
+            "parents": list(cpt.parents),
+            "states": list(cpt.states),
+            "rows": [[list(k), list(v)] for k, v in sorted(cpt.rows.items())],
+        }
+        for r, cpt in cpts.items()
+    }
+
+
+def mask_cpts_from_dict(payload: dict) -> dict[str, Cpt]:
+    return {
+        r: Cpt(
+            r,
+            tuple(spec["parents"]),
+            tuple(spec["states"]),
+            {tuple(key): tuple(dist) for key, dist in spec["rows"]},
+        )
+        for r, spec in payload.items()
+    }
+
+
+def mask_cpts_to_json(cpts: Mapping[str, Cpt]) -> str:
+    return json.dumps(mask_cpts_to_dict(cpts), indent=2)
+
+
+def mask_cpts_from_json(text: str) -> dict[str, Cpt]:
+    return mask_cpts_from_dict(json.loads(text))
+
+
 def classify_mechanism(mg: MGraph) -> Mechanism:
     """MCAR / MAR / MNAR read off the graph by d-separation."""
     g = mg.graph

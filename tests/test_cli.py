@@ -904,6 +904,30 @@ def test_invalid_rcpt_file_is_exit_2(fixdir, datadir, tmp_path, capsys):
     assert "not a valid indicator-table file" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "scm sample --model {fix}/xy_scm.json --n 5 --seed 1 --save {target}",
+        "missing mask --data {data}/xy.csv --graph {fix}/mgraph_mar.json "
+        "--rcpt {fix}/mgraph_mar_mask.json --seed 0 --save {target}",
+        "bandit sim --env {fix}/bandit_two_arm.json --policy thompson "
+        "--horizon 5 --seed 0 --save {target}",
+        "fixtures --dest {target}",
+    ],
+    ids=["scm sample", "missing mask", "bandit sim", "fixtures"],
+)
+def test_unwritable_output_is_exit_2(fixdir, datadir, tmp_path, capsys, command):
+    # a path below a regular file cannot be created, even by a superuser
+    (tmp_path / "plain").write_text("")
+    target = tmp_path / "plain" / "out"
+    argv = command.format(fix=fixdir, data=datadir, target=target).split()
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert "Traceback" not in err
+
+
 def test_domain_error_is_exit_1(fixdir, capsys):
     rc, _, err = run(
         capsys,
