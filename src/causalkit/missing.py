@@ -353,11 +353,7 @@ def recover_joint(
         if total == 0:
             raise EmptyStratum({r_y: "0"})
         for key, c in xy.items():
-            # 1/total added once per record; c / total can differ in the last bit
-            p = 0.0
-            for _ in range(c):
-                p += 1.0 / total
-            entries[key] = p
+            entries[key] = c / total
     else:
         if family == "b":
             x_counts = observed([cause], [])

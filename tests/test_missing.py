@@ -1,5 +1,7 @@
 """M-graphs: mechanism classification, masking, recovery, testability."""
 
+from collections import Counter
+
 import pytest
 
 from causalkit import (
@@ -30,6 +32,14 @@ from causalkit import (
     recover_joint,
 )
 from causalkit import fixtures as fx
+from causalkit.missing import (
+    mask_cpts_from_dict,
+    mask_cpts_from_json,
+    mask_cpts_to_dict,
+    mask_cpts_to_json,
+)
+
+from count_oracle import project as oracle_project
 
 XY_TRUTH = ProbTable(
     ("X", "Y"),
@@ -267,6 +277,20 @@ def test_recover_family_a_hand_computed():
     assert table.prob(("0", "1")) == pytest.approx(1 / 3)
     assert table.prob(("1", "1")) == pytest.approx(1 / 3)
     assert table.prob(("1", "0")) == 0.0
+
+
+def test_recover_family_a_is_count_ratio():
+    # each cell is its complete-row count divided once by the total, so the
+    # result is the correctly rounded c / total, not a running sum of 1/total
+    mg = fx.mgraph_mcar()
+    masked = apply_missingness(fx.xy_scm().sample(100_000, 3), mg, fx.mask_cpts(mg), 5)
+    cells = Counter(
+        (x, y) for x, y, r in oracle_project(masked, ["X", "Y", "Ry"]) if r == "0"
+    )
+    total = sum(cells.values())
+    table = recover_joint(mg, masked, ["X", "Y"])
+    assert table.entries == {key: c / total for key, c in cells.items()}
+    assert table.prob(("0", "0")) == 0.41884363171082795
 
 
 def test_recover_family_b_hand_computed():
@@ -530,3 +554,15 @@ def test_mask_cpts_shapes():
     assert mar["Ry"].rows[("1",)] == (0.4, 0.6)
     two = fx.mask_cpts(fx.mgraph_two_sided())
     assert set(two) == {"Rx", "Ry"}
+
+
+def test_mask_cpts_codec_roundtrip():
+    for builder in (
+        fx.mgraph_mcar,
+        fx.mgraph_mar,
+        fx.mgraph_self_masking,
+        fx.mgraph_two_sided,
+    ):
+        cpts = fx.mask_cpts(builder())
+        assert mask_cpts_from_dict(mask_cpts_to_dict(cpts)) == cpts
+        assert mask_cpts_from_json(mask_cpts_to_json(cpts)) == cpts
