@@ -143,28 +143,6 @@ def epsilon_greedy_step(
     return int(np.argmax(estimates))
 
 
-def causal_thompson_step(
-    posteriors: Mapping[tuple[int, int], BetaPosterior],
-    intent: int,
-    arms: int,
-    rng: np.random.Generator,
-) -> int:
-    """Thompson step over the posteriors conditioned on this round's intent.
-
-    For two arms this compares the intuition estimate E[reward | intent,
-    arm = intent] against the counter-intuition estimate E[reward | intent,
-    arm ≠ intent] and plays the larger sample.
-    """
-    default = BetaPosterior()
-    alphas = np.array(
-        [posteriors.get((intent, a), default).alpha for a in range(arms)]
-    )
-    betas = np.array(
-        [posteriors.get((intent, a), default).beta for a in range(arms)]
-    )
-    return int(np.argmax(rng.beta(alphas, betas)))
-
-
 class ThompsonPolicy:
     name = "thompson"
 
@@ -227,7 +205,13 @@ class CausalThompsonPolicy:
                 "causal Thompson sampling needs the round's intent; "
                 "the environment has no confounder"
             )
-        return causal_thompson_step(self.posteriors, intent, self.arms, rng)
+        # one Thompson step over the posteriors conditioned on this round's
+        # intent: for two arms, the intuition estimate E[reward | intent,
+        # arm = intent] against the counter-intuition one
+        conditioned = [
+            self.posteriors.get((intent, a), BetaPosterior()) for a in range(self.arms)
+        ]
+        return thompson_step(conditioned, rng)
 
     def observe(self, arm: int, reward: int, intent=None) -> None:
         if intent is None:
