@@ -10,12 +10,14 @@ the level the toolkit needs them.
 Blocking semantics: a chain or fork is blocked when its middle node is
 conditioned on; a collider blocks unless the collider itself or one of its
 descendants is conditioned on. `is_d_separated` is implemented with the
-ancestral-moralization reduction rather than path enumeration, so it stays
-usable on graphs where enumerating paths would not be.
+ancestral-moralization reduction rather than path enumeration, and the
+backdoor criterion is decided through it, so both stay usable on graphs
+where enumerating paths would not be.
 
-Path enumeration is exponential in the worst case and is therefore capped,
-by default at 32 nodes. `set_max_nodes` raises the cap process-wide; the CLI
-wires it to the CAUSALKIT_MAX_NODES environment variable.
+Path enumeration (`undirected_paths`, `backdoor_paths`) is exponential in
+the worst case and is therefore capped, by default at 32 nodes.
+`set_max_nodes` raises the cap process-wide; the CLI wires it to the
+CAUSALKIT_MAX_NODES environment variable.
 """
 
 from __future__ import annotations
@@ -383,7 +385,13 @@ class CausalGraph:
         self, x: str, y: str, z: Iterable[str] = ()
     ) -> bool:
         """True iff z blocks every backdoor path from x to y and contains no
-        descendant of x."""
+        descendant of x.
+
+        Decided by d-separation, not path enumeration (Pearl, Causality
+        §3.3): once x's outgoing edges are removed, the paths left between
+        x and y are exactly the backdoor paths, and with no descendant of x
+        in z each is blocked there iff it is blocked in the full graph.
+        """
         zset = frozenset(z)
         for name in zset:
             self._require(name)
@@ -391,7 +399,8 @@ class CausalGraph:
             raise OverlappingSets({x, y} & zset)
         if zset & self.descendants(x):
             return False
-        return all(self.is_path_blocked(p, zset) for p in self.backdoor_paths(x, y))
+        cut = CausalGraph(self.nodes, [(a, b) for a, b in self.edges if a != x])
+        return cut.is_d_separated({x}, {y}, zset)
 
     def rule3_applicable(self, x: str, y: str) -> bool:
         """True iff do(x) can be deleted from P(y | do(x)): no directed path

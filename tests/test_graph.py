@@ -1,6 +1,8 @@
 """Graph construction, d-separation, backdoor machinery, and rule checks."""
 
 import itertools
+import random
+import time
 
 import pytest
 
@@ -26,6 +28,7 @@ from causalkit import (
 )
 from causalkit import fixtures as fx
 
+import dsep_oracle
 from dsep_oracle import d_separated as oracle_d_separated
 
 
@@ -191,12 +194,15 @@ def test_dsep_set_arguments_and_errors():
 
 
 def _all_dags(names):
-    """Every labeled DAG over `names` (via all edge subsets, acyclic only)."""
-    pairs = [
-        (a, b) for a in names for b in names if a != b
-    ]
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        edges = [p for p, keep in zip(pairs, bits) if keep]
+    """Every labeled DAG over `names`: each pair of nodes is unlinked or
+    linked one way or the other, and the cyclic choices are dropped."""
+    pairs = list(itertools.combinations(names, 2))
+    for choice in itertools.product((None, 0, 1), repeat=len(pairs)):
+        edges = [
+            (a, b) if way == 0 else (b, a)
+            for (a, b), way in zip(pairs, choice)
+            if way is not None
+        ]
         try:
             yield g(names, edges)
         except CycleDetected:
@@ -262,6 +268,78 @@ def test_backdoor_criterion_overlap_errors():
         graph.satisfies_backdoor_criterion(
             "treatment", "recovery", {"treatment"}
         )
+
+
+def test_backdoor_criterion_argument_errors():
+    graph = fx.kidney_graph()
+    with pytest.raises(OverlappingSets):
+        graph.satisfies_backdoor_criterion("treatment", "treatment")
+    with pytest.raises(UnknownNode):
+        graph.satisfies_backdoor_criterion("treatment", "nope")
+
+
+def _check_backdoor_routes(graph, pairs):
+    """The d-separation decision against two path routes: the library's
+    enumerated backdoor paths and blocking rule, and `dsep_oracle`'s."""
+    names = graph.node_names()
+    edges = set(graph.edges)
+    for x, y in pairs:
+        paths = graph.backdoor_paths(x, y)
+        oracle_paths = [
+            p for p in dsep_oracle.undirected_paths(names, edges, x, y) if (p[1], x) in edges
+        ]
+        desc = graph.descendants(x)
+        oracle_desc = dsep_oracle.descendants(edges, x) - {x}
+        others = [n for n in names if n not in (x, y)]
+        for k in range(len(others) + 1):
+            for z in map(set, itertools.combinations(others, k)):
+                by_paths = not z & desc and all(graph.is_path_blocked(p, z) for p in paths)
+                by_oracle = not z & oracle_desc and all(
+                    dsep_oracle.path_blocked(p, edges, z) for p in oracle_paths
+                )
+                assert by_paths == by_oracle, (edges, x, y, z)
+                assert graph.satisfies_backdoor_criterion(x, y, z) == by_paths, (
+                    edges, x, y, z
+                )
+
+
+def test_backdoor_matches_path_routes_on_every_small_dag():
+    """d-separation decision against the library's path route and the
+    oracle's: on ≤ 4 nodes every labeled DAG, ordered pair and z. On 5
+    nodes every labeled DAG with (x, y) = (A, B) and every z: renaming
+    nodes maps any ordered pair to (A, B) and a labeled DAG to another
+    labeled DAG, so this covers every 5-node statement up to names, and
+    the smaller graphs check that no route depends on the names."""
+    for names in ("AB", "ABC", "ABCD"):
+        for graph in _all_dags(names):
+            _check_backdoor_routes(graph, itertools.permutations(names, 2))
+    count = 0
+    for graph in _all_dags("ABCDE"):
+        _check_backdoor_routes(graph, [("A", "B")])
+        count += 1
+    assert count == 29281
+
+
+def test_backdoor_check_is_fast_on_a_dense_30_node_dag():
+    rng = random.Random(3)
+    names = [f"n{i:02d}" for i in range(30)]
+    edges = [
+        (a, b) for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < 0.85
+    ]
+    graph = g(names, edges)
+    x, y = names[15], names[-1]
+    parents = set(graph.parents(x))
+    assert any(graph.has_edge(p, y) for p in parents)  # x <- p -> y is open
+    old = get_max_nodes()
+    set_max_nodes(2)  # no path is enumerated, so the cap does not apply
+    try:
+        start = time.process_time()
+        assert graph.satisfies_backdoor_criterion(x, y, parents)
+        assert not graph.satisfies_backdoor_criterion(x, y)
+        elapsed = time.process_time() - start
+    finally:
+        set_max_nodes(old)
+    assert elapsed < 0.1, f"{elapsed:.3f} s of CPU time"
 
 
 def test_rule3_sprinkler_and_kidney():
