@@ -56,7 +56,8 @@ class _FileError(Exception):
 
 
 def _load(path: str, what: str, parse):
-    """Read `path` and build a `what` from its text with `parse`."""
+    """Read `path` and build a `what` from its text with `parse` (a
+    `*_from_json` codec or `DiscreteDataset.from_csv`)."""
     try:
         with open(path) as fh:
             text = fh.read()

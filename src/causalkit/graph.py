@@ -10,9 +10,9 @@ the level the toolkit needs them.
 Blocking semantics: a chain or fork is blocked when its middle node is
 conditioned on; a collider blocks unless the collider itself or one of its
 descendants is conditioned on. `is_d_separated` is implemented with the
-ancestral-moralization reduction rather than path enumeration, and the
-backdoor criterion is decided through it, so both stay usable on graphs
-where enumerating paths would not be.
+ancestral-moralization reduction rather than path enumeration, so it (and
+the backdoor criterion, decided through it) stays usable on graphs where
+enumerating paths would not be.
 
 Path enumeration (`undirected_paths`, `backdoor_paths`) is exponential in
 the worst case and is therefore capped, by default at 32 nodes.
