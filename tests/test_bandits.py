@@ -4,6 +4,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bandit_oracle
 
 from causalkit import (
     BanditEnv,
@@ -248,6 +252,66 @@ def test_thompson_logs_pinned(policy, env):
         result = simulate(getattr(fx, env)(), make_policy(policy), 400, seed)
         digest.update(result.to_csv().encode())
     assert digest.hexdigest() == THOMPSON_LOG_SHA256[(policy, env)]
+
+
+POLICIES = ("greedy", "epsilon", "thompson", "causal_thompson", "uniform", "oracle")
+
+
+@st.composite
+def bandit_cases(draw):
+    """An environment with 1-4 confounder states of uneven (possibly zero)
+    weight and 2-5 arms whose payouts tie often, with or without intuition,
+    plus a policy, a regret benchmark, a horizon and a seed."""
+    k = draw(st.integers(1, 4))
+    arms = draw(st.integers(2, 5))
+    states = tuple(f"s{i}" for i in range(k))
+    weights = draw(st.lists(st.integers(0, 9), min_size=k, max_size=k).filter(any))
+    payout = {
+        s: tuple(draw(st.lists(
+            st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.9, 1.0)),
+            min_size=arms, max_size=arms,
+        )))
+        for s in states
+    }
+    intuition = None
+    if draw(st.booleans()):
+        intuition = {s: draw(st.integers(0, arms - 1)) for s in states}
+    env = BanditEnv(
+        payout=payout,
+        confounder_states=states,
+        confounder_probs=tuple(w / sum(weights) for w in weights),
+        intuition=intuition,
+    )
+    return (
+        env,
+        draw(st.sampled_from(POLICIES)),
+        draw(st.sampled_from((0.0, 0.1, 0.5, 1.0))),
+        draw(st.sampled_from(("conditional", "marginal"))),
+        draw(st.integers(0, 300)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _log(simulate_fn, policy, env, horizon, seed, benchmark):
+    try:
+        result = simulate_fn(env, policy, horizon, seed, regret_benchmark=benchmark)
+    except MissingIntent:
+        return "MissingIntent"
+    return result.policy, result.to_csv()
+
+
+@settings(max_examples=200, deadline=None)
+@given(bandit_cases())
+def test_simulate_matches_slow_oracle(case):
+    """The scalar-draw loop against the array-draw loop it replaced: same
+    PCG64 stream, so the same log byte for byte, for every policy."""
+    env, name, epsilon, benchmark, horizon, seed = case
+    fast = _log(simulate, make_policy(name, epsilon), env, horizon, seed, benchmark)
+    slow = _log(
+        bandit_oracle.simulate, bandit_oracle.make_policy(name, epsilon),
+        env, horizon, seed, benchmark,
+    )
+    assert fast == slow
 
 
 def test_cumulative_regret_monotone():
