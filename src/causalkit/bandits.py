@@ -3,11 +3,13 @@
 A BanditEnv fixes per-arm success probabilities, either flat or per
 confounder state. In the confounded case each state also determines the
 arm a naive player would reach for (the intent); policies observe the
-intent but never the state itself. Posteriors are Beta(α, β) starting
-from (1, 1); regret is measured per round against the best arm given the
+intent but never the state itself. The Thompson policies keep Beta(α, β)
+posteriors starting from (1, 1) as α and β lists over the arms, updated in
+place; regret is measured per round against the best arm given the
 realized confounder state (a marginal-optimum benchmark is available
 behind a flag). All randomness flows through one numpy PCG64 generator
-seeded explicitly, so runs are reproducible.
+seeded explicitly, drawn one scalar at a time in a fixed order, so a seed
+fixes every draw of a run.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -118,42 +121,53 @@ class BanditEnv:
         )
 
 
-def pull(env: BanditEnv, arm: int, state: str, rng: np.random.Generator) -> int:
-    """One Bernoulli reward draw."""
-    return int(rng.random() < env.expected(state, arm))
-
-
 def thompson_step(
-    posteriors: Sequence[BetaPosterior], rng: np.random.Generator
+    alphas: Sequence[float], betas: Sequence[float], rng: np.random.Generator
 ) -> int:
-    """Sample each posterior once and play the argmax (ties: lowest index)."""
-    alphas = np.array([p.alpha for p in posteriors])
-    betas = np.array([p.beta for p in posteriors])
-    return int(np.argmax(rng.beta(alphas, betas)))
+    """Draw Beta(alphas[i], betas[i]) for each arm, in arm order, and play the
+    first maximum; the scalar draws consume the stream as one array draw would."""
+    draws = list(map(rng.beta, alphas, betas))
+    return draws.index(max(draws))
 
 
 def epsilon_greedy_step(
     estimates: Sequence[float], epsilon: float, rng: np.random.Generator
 ) -> int:
-    """Explore uniformly with probability epsilon, else play the argmax."""
+    """Explore uniformly with probability epsilon, else play the first argmax."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must lie in [0, 1]")
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(len(estimates)))
-    return int(np.argmax(estimates))
+    return estimates.index(max(estimates))
 
 
-class ThompsonPolicy:
-    name = "thompson"
+class _BetaTable:
+    """Beta(α, β) posteriors per (key, arm), starting from (1, 1):
+    `posteriors[key]` is the pair of α and β lists over the arms, created on
+    the key's first use and updated in place."""
 
     def reset(self, env: BanditEnv) -> None:
-        self.posteriors = [BetaPosterior() for _ in range(env.arms)]
+        arms = env.arms
+        self.posteriors = defaultdict(lambda: ([1.0] * arms, [1.0] * arms))
+
+    def _update(self, key, arm: int, reward: int) -> None:
+        if reward not in (0, 1):
+            raise ValueError("reward must be 0 or 1")
+        alphas, betas = self.posteriors[key]
+        alphas[arm] += reward
+        betas[arm] += 1 - reward
+
+
+class ThompsonPolicy(_BetaTable):
+    """Intent-blind Thompson sampling: one table under the key None."""
+
+    name = "thompson"
 
     def choose(self, rng, intent=None, state=None) -> int:
-        return thompson_step(self.posteriors, rng)
+        return thompson_step(*self.posteriors[None], rng)
 
     def observe(self, arm: int, reward: int, intent=None) -> None:
-        self.posteriors[arm] = self.posteriors[arm].update(reward)
+        self._update(None, arm, reward)
 
 
 class EpsilonGreedyPolicy:
@@ -190,14 +204,10 @@ class EpsilonGreedyPolicy:
         self.observe(arm, reward)
 
 
-class CausalThompsonPolicy:
+class CausalThompsonPolicy(_BetaTable):
     """Thompson sampling with posteriors indexed by (intent, arm)."""
 
     name = "causal_thompson"
-
-    def reset(self, env: BanditEnv) -> None:
-        self.arms = env.arms
-        self.posteriors: dict[tuple[int, int], BetaPosterior] = {}
 
     def choose(self, rng, intent=None, state=None) -> int:
         if intent is None:
@@ -208,18 +218,12 @@ class CausalThompsonPolicy:
         # one Thompson step over the posteriors conditioned on this round's
         # intent: for two arms, the intuition estimate E[reward | intent,
         # arm = intent] against the counter-intuition one
-        conditioned = [
-            self.posteriors.get((intent, a), BetaPosterior()) for a in range(self.arms)
-        ]
-        return thompson_step(conditioned, rng)
+        return thompson_step(*self.posteriors[intent], rng)
 
     def observe(self, arm: int, reward: int, intent=None) -> None:
         if intent is None:
             raise MissingIntent("cannot update intent-conditioned posteriors")
-        key = (intent, arm)
-        self.posteriors[key] = self.posteriors.get(key, BetaPosterior()).update(
-            reward
-        )
+        self._update(intent, arm, reward)
 
 
 class UniformPolicy:
@@ -241,11 +245,11 @@ class OraclePolicy:
     name = "oracle"
 
     def reset(self, env: BanditEnv) -> None:
-        self.env = env
+        # each state's first best arm, as np.argmax picks it
+        self.best = {s: row.index(max(row)) for s, row in env.payout.items()}
 
     def choose(self, rng, intent=None, state=None) -> int:
-        dist = self.env.payout[state]
-        return int(np.argmax(dist))
+        return self.best[state]
 
     def observe(self, arm, reward, intent=None) -> None:
         pass
@@ -324,26 +328,33 @@ def simulate(
     policy.reset(env)
 
     states = env.confounder_states
-    probs = np.asarray(env.confounder_probs)
-    marginal_best = max(env.marginal_expected(a) for a in range(env.arms))
+    rows = [env.payout[s] for s in states]
+    arms = env.arms
+    marginal_best = max(env.marginal_expected(a) for a in range(arms))
+    conditional = regret_benchmark == "conditional"
+    benchmark = [max(row) if conditional else marginal_best for row in rows]
+    intents = [env.intuition[s] if env.confounded else None for s in states]
+    # the confounder draw of Generator.choice(k, p=probs): one uniform draw
+    # looked up in the normalized CDF
+    cdf = np.cumsum(env.confounder_probs)
+    cdf /= cdf[-1]
+    draw_state = len(states) > 1
 
+    choose, observe, random = policy.choose, policy.observe, rng.random
     rounds: list[Round] = []
     cum: list[float] = []
     regret = 0.0
     for _ in range(horizon):
-        s_idx = int(rng.choice(len(states), p=probs)) if len(states) > 1 else 0
-        state = states[s_idx]
-        intent = env.intuition[state] if env.intuition is not None else None
-        arm = policy.choose(rng, intent=intent, state=state)
-        if not 0 <= arm < env.arms:
-            raise UnknownArm(arm, env.arms)
-        reward = pull(env, arm, state, rng)
-        policy.observe(arm, reward, intent=intent)
-        if regret_benchmark == "conditional":
-            regret += env.best_expected(state) - env.expected(state, arm)
-        else:
-            regret += marginal_best - env.expected(state, arm)
-        rounds.append(Round(arm=arm, reward=reward, intent=intent))
+        s = int(cdf.searchsorted(random(), side="right")) if draw_state else 0
+        intent = intents[s]
+        arm = choose(rng, intent=intent, state=states[s])
+        if not 0 <= arm < arms:
+            raise UnknownArm(arm, arms)
+        p = rows[s][arm]
+        reward = int(random() < p)
+        observe(arm, reward, intent=intent)
+        regret += benchmark[s] - p
+        rounds.append(Round(arm, reward, intent))
         cum.append(regret)
     return RunResult(
         policy=getattr(policy, "name", type(policy).__name__),
