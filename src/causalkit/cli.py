@@ -61,7 +61,7 @@ def _load(path: str, what: str, parse):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _FileError(f"cannot read {path}: {exc}") from exc
     try:
         return parse(text)
@@ -86,6 +86,24 @@ def _assignment(text: str) -> tuple[str, str]:
             f"expected NAME=VALUE, got {text!r}"
         )
     return name, value
+
+
+def _ranged(kind, ok, expected: str):
+    """An argparse `type`: `kind(text)`, refused unless `ok` accepts it."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_COUNT = _ranged(int, lambda v: v >= 0, "an integer >= 0")
+_PROBABILITY = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
+_LEVEL = _ranged(float, lambda v: 0.0 < v < 1.0, "a level in (0, 1)")
 
 
 def _fmt(value: float) -> str:
@@ -480,8 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = scm_sub.add_parser("sample", help="draw records by ancestral sampling")
     p.add_argument("--model", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n", type=_COUNT, required=True)
+    p.add_argument("--seed", type=_COUNT, required=True)
     p.add_argument("--save", help="write CSV here instead of stdout")
     p.add_argument("--include-latent", action="store_true")
     _finish(p, _cmd_scm_sample)
@@ -549,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--graph", required=True)
     p.add_argument("--rcpt", required=True, help="indicator tables JSON")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_COUNT, required=True)
     p.add_argument("--save", help="write CSV here instead of stdout")
     _finish(p, _cmd_missing_mask)
 
@@ -576,9 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("greedy", "epsilon", "thompson", "causal_thompson", "uniform", "oracle"),
     )
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--horizon", type=_COUNT, required=True)
+    p.add_argument("--seed", type=_COUNT, required=True)
+    p.add_argument("--epsilon", type=_PROBABILITY, default=0.1)
     p.add_argument("--benchmark", choices=("conditional", "marginal"), default="conditional")
     p.add_argument("--save", help="write the per-round CSV log here")
     _finish(p, _cmd_bandit_sim)
@@ -588,8 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = dis_sub.add_parser("pc", help="constraint-based pattern search")
     p.add_argument("--data", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--max-cond", type=int, default=3)
+    p.add_argument("--alpha", type=_LEVEL, default=0.05)
+    p.add_argument("--max-cond", type=_COUNT, default=3)
     p.add_argument("--min-expected", type=float, default=5.0)
     _finish(p, _cmd_discover_pc)
 

@@ -1037,6 +1037,69 @@ def test_usage_errors_are_exit_2(fixdir, capsys):
     capsys.readouterr()
 
 
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("bandit sim --env {fix}/bandit_two_arm.json --policy thompson "
+         "--horizon -1 --seed 0", "--horizon"),
+        ("bandit sim --env {fix}/bandit_two_arm.json --policy thompson "
+         "--horizon 5 --seed -1", "--seed"),
+        ("bandit sim --env {fix}/bandit_two_arm.json --policy epsilon "
+         "--epsilon 3 --horizon 5 --seed 0", "--epsilon"),
+        ("scm sample --model {fix}/xy_scm.json --n -1 --seed 0", "--n"),
+        ("scm sample --model {fix}/xy_scm.json --n 5 --seed -1", "--seed"),
+        ("missing mask --data {data}/xy.csv --graph {fix}/mgraph_mar.json "
+         "--rcpt {fix}/mgraph_mar_mask.json --seed -1", "--seed"),
+        ("discover pc --data {data}/xy.csv --alpha 2", "--alpha"),
+        ("discover pc --data {data}/xy.csv --alpha 0", "--alpha"),
+        ("discover pc --data {data}/xy.csv --max-cond -1", "--max-cond"),
+    ],
+    ids=[
+        "horizon -1", "bandit seed -1", "epsilon 3", "n -1", "sample seed -1",
+        "mask seed -1", "alpha 2", "alpha 0", "max-cond -1",
+    ],
+)
+def test_out_of_range_number_is_exit_2(fixdir, datadir, capsys, command, flag):
+    argv = command.format(fix=fixdir, data=datadir).split()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected " in err
+    assert "Traceback" not in err
+
+
+def test_in_range_numbers_at_their_bounds_pass(fixdir, datadir, capsys):
+    rc, out, _ = run(
+        capsys,
+        ["bandit", "sim", "--env", str(fixdir / "bandit_two_arm.json"),
+         "--policy", "epsilon", "--epsilon", "1", "--horizon", "0", "--seed", "0"],
+    )
+    assert rc == 0 and out.startswith("policy: epsilon")
+    rc, out, _ = run(
+        capsys, ["scm", "sample", "--model", str(fixdir / "xy_scm.json"),
+                 "--n", "0", "--seed", "0"],
+    )
+    assert rc == 0
+    rc, _, _ = run(
+        capsys, ["discover", "pc", "--data", str(datadir / "xy.csv"), "--alpha", "0.999"]
+    )
+    assert rc == 0
+
+
+def test_non_utf8_input_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    rc, out, err = run(
+        capsys, ["dsep", "--graph", str(bad), "--x", "a", "--y", "b"]
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert "Traceback" not in err
+
+
 # -- environment-variable node cap ---------------------------------------------------
 
 
