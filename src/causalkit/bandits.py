@@ -19,7 +19,7 @@ import io
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -271,8 +271,7 @@ def make_policy(name: str, epsilon: float = 0.1):
     raise SchemaMismatch(f"unknown policy {name!r}")
 
 
-@dataclass(frozen=True)
-class Round:
+class Round(NamedTuple):
     arm: int
     reward: int
     intent: Optional[int]

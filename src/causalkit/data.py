@@ -177,17 +177,27 @@ class DiscreteDataset:
             rows = list(compress(rows, self._complete(names).tolist()))
         return rows
 
-    def counts(self, names: Sequence[str]) -> Counter:
+    def counts(
+        self, names: Sequence[str], where: Mapping[str, str] | None = None
+    ) -> Counter:
         """Complete-case joint counts over the named columns, keyed by label
-        tuple; unobserved combinations are absent.
+        tuple; unobserved combinations are absent. `where` maps columns to
+        states and keeps only the rows holding them; a state outside its
+        column's states matches no row.
 
-        The rows complete over `names` are counted on their codes: one
-        bincount over the raveled codes while the joint state space is no
-        larger than the row count, else a count of the distinct code rows,
-        so no table larger than the data is allocated. The observed cells,
+        The kept rows are counted on their codes: one bincount over the
+        raveled codes while the joint state space is no larger than the row
+        count, else a count of the distinct code rows, so no table larger
+        than the data is allocated. The observed cells,
         a table of at most that many rows, are then projected to labels.
         """
         keep = self._complete(names)
+        for name, state in (where or {}).items():
+            labels = self.column_states(name)
+            # -2 matches no code, so an undeclared state selects no row
+            keep &= self._column(name) == (
+                labels.index(state) if state in labels else -2
+            )
         cols = [self._column(n)[keep] for n in names]
         shape = [len(self.column_states(n)) for n in names]
         space = math.prod(shape)
@@ -267,6 +277,15 @@ class DiscreteDataset:
             return cls.from_csv(fh.read(), states)
 
 
+def marginal_counts(table: Mapping[tuple, float], positions: Sequence[int]) -> Counter:
+    """`table` summed onto the key entries at `positions`, adding values in
+    the table's order."""
+    out: Counter = Counter()
+    for key, c in table.items():
+        out[tuple(key[i] for i in positions)] += c
+    return out
+
+
 @dataclass
 class ProbTable:
     """A joint probability table over named discrete variables.
@@ -296,11 +315,7 @@ class ProbTable:
 
     def marginal(self, names: Sequence[str]) -> "ProbTable":
         idx = [self.variables.index(n) for n in names]
-        out: dict[tuple[str, ...], float] = {}
-        for key, p in self.entries.items():
-            sub = tuple(key[i] for i in idx)
-            out[sub] = out.get(sub, 0.0) + p
-        return ProbTable(tuple(names), out)
+        return ProbTable(tuple(names), marginal_counts(self.entries, idx))
 
     def l1_distance(self, other: "ProbTable") -> float:
         if self.variables != other.variables:

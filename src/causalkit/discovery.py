@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from .data import DiscreteDataset
+from .data import DiscreteDataset, marginal_counts
 from .errors import EmptySelection, InsufficientData, SchemaMismatch
-from .graph import CausalGraph, Node, NodeKind
+from .graph import CausalGraph, Node, NodeKind, reach
 
 
 @dataclass(frozen=True)
@@ -277,18 +277,9 @@ def orient(skeleton: Pattern, sepsets: SepSets) -> Pattern:
             undirected.discard(pair)
             directed.add((a, b))
 
-    def creates_cycle(tail: str, head: str) -> bool:
-        stack = [head]
-        seen = set()
-        while stack:
-            cur = stack.pop()
-            if cur == tail:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(h for t, h in directed if t == cur)
-        return False
+    children: dict[str, set[str]] = {n: set() for n in nodes}
+    for tail, head in directed:
+        children[tail].add(head)
 
     changed = True
     while changed:
@@ -302,12 +293,13 @@ def orient(skeleton: Pattern, sepsets: SepSets) -> Pattern:
                     (c, tail) in directed and c not in neighbor[head]
                     for c in sorted(neighbor[tail])
                 ):
-                    if not creates_cycle(tail, head):
+                    if tail not in reach(head, children):
                         oriented = (tail, head)
                     break
             if oriented:
                 undirected.discard((a, b))
                 directed.add(oriented)
+                children[oriented[0]].add(oriented[1])
                 changed = True
 
     return Pattern(
@@ -390,17 +382,10 @@ class _BicCache:
         self.states = {v: ds.column_states(v) for v in names}
         self._cache: dict[frozenset, float] = {}
 
-    def _counts(self, subset: tuple[str, ...]) -> Counter:
-        idx = [self.names.index(v) for v in subset]
-        out: Counter = Counter()
-        for key, c in self.full.items():
-            out[tuple(key[i] for i in idx)] += c
-        return out
-
     def log_count_sum(self, subset: frozenset) -> float:
         if subset not in self._cache:
-            ordered = tuple(sorted(subset))
-            counts = self._counts(ordered)
+            idx = [self.names.index(v) for v in sorted(subset)]
+            counts = marginal_counts(self.full, idx)
             self._cache[subset] = sum(
                 c * math.log(c) for _, c in sorted(counts.items())
             )
@@ -435,65 +420,34 @@ def greedy_score_search(
     total = sum(family[v] for v in names)
     trace = [TraceStep("init", None, total)]
 
-    children: dict[str, set[str]] = {v: set() for v in names}
+    def additions():
+        children = {u: [v for v in names if u in parents[v]] for u in names}
+        for u in names:
+            for v in names:
+                if u != v and u not in parents[v] and u not in reach(v, children):
+                    yield (u, v), parents[v] | {u}
 
-    def reachable(src: str, dst: str) -> bool:
-        stack = [src]
-        seen = set()
-        while stack:
-            cur = stack.pop()
-            if cur == dst:
-                return True
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(children[cur])
-        return False
+    def deletions():
+        for u in names:
+            for v in names:
+                if u in parents[v]:
+                    yield (u, v), parents[v] - {u}
 
-    while True:
-        best_gain = 0.0
-        best_edge = None
-        best_score = 0.0
-        for u, v in (
-            (u, v)
-            for u in names
-            for v in names
-            if u != v and u not in parents[v]
-        ):
-            if reachable(v, u):
-                continue
-            candidate = cache.family_score(v, parents[v] | {u})
-            gain = candidate - family[v]
-            if gain > best_gain:
-                best_gain, best_edge, best_score = gain, (u, v), candidate
-        if best_edge is None:
-            break
-        u, v = best_edge
-        parents[v] = parents[v] | {u}
-        children[u].add(v)
-        family[v] = best_score
-        total += best_gain
-        trace.append(TraceStep("add", best_edge, total))
-
-    while True:
-        best_gain = 0.0
-        best_edge = None
-        best_score = 0.0
-        for u, v in (
-            (u, v) for u in names for v in names if u in parents[v]
-        ):
-            candidate = cache.family_score(v, parents[v] - {u})
-            gain = candidate - family[v]
-            if gain > best_gain:
-                best_gain, best_edge, best_score = gain, (u, v), candidate
-        if best_edge is None:
-            break
-        u, v = best_edge
-        parents[v] = parents[v] - {u}
-        children[u].discard(v)
-        family[v] = best_score
-        total += best_gain
-        trace.append(TraceStep("delete", best_edge, total))
+    for op, candidates in (("add", additions), ("delete", deletions)):
+        while True:
+            best_gain = 0.0
+            best = None
+            for (u, v), new_parents in candidates():
+                candidate = cache.family_score(v, new_parents)
+                gain = candidate - family[v]
+                if gain > best_gain:
+                    best_gain, best = gain, ((u, v), new_parents, candidate)
+            if best is None:
+                break
+            (u, v), new_parents, score = best
+            parents[v], family[v] = new_parents, score
+            total += best_gain
+            trace.append(TraceStep(op, (u, v), total))
 
     edges = [(u, v) for v in names for u in sorted(parents[v])]
     graph = CausalGraph([Node(v, NodeKind.OBSERVED) for v in names], edges)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .data import DiscreteDataset
+from .data import DiscreteDataset, marginal_counts
 from .errors import (
     EmptySelection,
     EmptyStratum,
@@ -35,33 +35,23 @@ def empirical_conditional(
     """P(target | given) as a dict over the target column's declared states."""
     for col, val in given.items():
         _check_value(ds, col, val)
-    cols = [target] + sorted(given)
-    want = tuple(given[c] for c in cols[1:])
-    hits = {k[0]: c for k, c in ds.counts(cols).items() if k[1:] == want}
+    hits = ds.counts([target], where=given)
     if not hits:
         raise EmptyStratum(dict(given))
-    total = sum(hits.values())
-    return {s: hits.get(s, 0) / total for s in ds.column_states(target)}
+    total = hits.total()
+    return {s: hits[(s,)] / total for s in ds.column_states(target)}
 
 
 def _stratum_counts(
     ds: DiscreteDataset, x: str, y: str, z: Sequence[str]
 ):
-    """Joint complete-case counts over (x, y, z...) plus stratum rollups."""
-    zcols = list(z)
-    counts = ds.counts([x, y] + zcols)
-    if not counts:
-        raise EmptySelection(f"no complete rows over {[x, y] + zcols}")
-    joint: dict[tuple, int] = {}
-    per_stratum: dict[tuple, int] = {}
-    per_stratum_x: dict[tuple, dict[str, int]] = {}
-    for (xv, yv, *zv), c in counts.items():
-        zv = tuple(zv)
-        joint[(xv, yv, zv)] = c
-        per_stratum[zv] = per_stratum.get(zv, 0) + c
-        per_stratum_x.setdefault(zv, {})
-        per_stratum_x[zv][xv] = per_stratum_x[zv].get(xv, 0) + c
-    return joint, per_stratum, per_stratum_x, sum(per_stratum.values())
+    """Complete-case counts over (x, y, z...), their z totals and their
+    (z..., x) totals."""
+    joint = ds.counts([x, y, *z])
+    if not joint:
+        raise EmptySelection(f"no complete rows over {[x, y, *z]}")
+    zpos = range(2, 2 + len(z))
+    return joint, marginal_counts(joint, zpos), marginal_counts(joint, [*zpos, 0])
 
 
 def backdoor_adjust(
@@ -83,7 +73,8 @@ def backdoor_adjust(
     _check_value(ds, x, x_val)
     _check_value(ds, y, y_val)
     zcols = list(z)
-    joint, per_stratum, per_stratum_x, n = _stratum_counts(ds, x, y, zcols)
+    joint, per_stratum, per_stratum_x = _stratum_counts(ds, x, y, zcols)
+    n = joint.total()
 
     if laplace:
         from itertools import product
@@ -92,9 +83,9 @@ def backdoor_adjust(
         n_y = len(ds.column_states(y))
         total = 0.0
         for zv in combos:
-            c_z = per_stratum.get(zv, 0)
-            c_xz = per_stratum_x.get(zv, {}).get(x_val, 0)
-            c_xyz = joint.get((x_val, y_val, zv), 0)
+            c_z = per_stratum[zv]
+            c_xz = per_stratum_x[(*zv, x_val)]
+            c_xyz = joint[(x_val, y_val, *zv)]
             p_y_given = (c_xyz + 1) / (c_xz + n_y)
             p_z = (c_z + 1) / (n + len(combos))
             total += p_y_given * p_z
@@ -102,10 +93,10 @@ def backdoor_adjust(
 
     total = 0.0
     for zv in sorted(per_stratum):
-        c_xz = per_stratum_x[zv].get(x_val, 0)
+        c_xz = per_stratum_x[(*zv, x_val)]
         if c_xz == 0:
             raise PositivityViolation(dict(zip(zcols, zv)) | {x: x_val})
-        c_xyz = joint.get((x_val, y_val, zv), 0)
+        c_xyz = joint[(x_val, y_val, *zv)]
         total += (c_xyz / c_xz) * (per_stratum[zv] / n)
     return total
 
@@ -126,13 +117,14 @@ def backdoor_adjust_ratio(
     _check_value(ds, x, x_val)
     _check_value(ds, y, y_val)
     zcols = list(z)
-    joint, per_stratum, per_stratum_x, n = _stratum_counts(ds, x, y, zcols)
+    joint, per_stratum, per_stratum_x = _stratum_counts(ds, x, y, zcols)
+    n = joint.total()
     total = 0.0
     for zv in sorted(per_stratum):
-        c_xz = per_stratum_x[zv].get(x_val, 0)
+        c_xz = per_stratum_x[(*zv, x_val)]
         if c_xz == 0:
             raise PositivityViolation(dict(zip(zcols, zv)) | {x: x_val})
-        p_xyz = joint.get((x_val, y_val, zv), 0) / n
+        p_xyz = joint[(x_val, y_val, *zv)] / n
         p_x_given_z = (c_xz / n) / (per_stratum[zv] / n)
         total += p_xyz / p_x_given_z
     return total
@@ -202,17 +194,14 @@ def detect_simpson_reversal(
     _check_value(ds, y, y_val)
     a, b = arms
     zcols = list(z)
-    joint, per_stratum, per_stratum_x, _ = _stratum_counts(ds, x, y, zcols)
+    joint, per_stratum, per_stratum_x = _stratum_counts(ds, x, y, zcols)
+    per_xy, per_x = marginal_counts(joint, [0, 1]), marginal_counts(joint, [0])
 
     def rate(x_val: str, zv: tuple | None) -> float:
         if zv is None:
-            hit = sum(
-                c for (xv, yv, _), c in joint.items() if xv == x_val and yv == y_val
-            )
-            tot = sum(c for (xv, _, _), c in joint.items() if xv == x_val)
+            hit, tot = per_xy[(x_val, y_val)], per_x[(x_val,)]
         else:
-            hit = joint.get((x_val, y_val, zv), 0)
-            tot = per_stratum_x[zv].get(x_val, 0)
+            hit, tot = joint[(x_val, y_val, *zv)], per_stratum_x[(*zv, x_val)]
         if tot == 0:
             raise EmptyStratum({x: x_val} | (dict(zip(zcols, zv)) if zv else {}))
         return hit / tot

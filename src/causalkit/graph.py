@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import (
     CycleDetected,
@@ -58,6 +58,20 @@ def set_max_nodes(limit: int) -> None:
 
 def get_max_nodes() -> int:
     return _max_nodes
+
+
+def reach(start: str, step: Mapping[str, Iterable[str]]) -> frozenset[str]:
+    """Every node reached from `start` by one or more steps, `step` mapping
+    each node to its successors; `start` itself only if on a cycle."""
+    out: set[str] = set()
+    queue = deque(step[start])
+    while queue:
+        n = queue.popleft()
+        if n in out:
+            continue
+        out.add(n)
+        queue.extend(step[n])
+    return frozenset(out)
 
 
 class NodeKind(str, Enum):
@@ -230,22 +244,11 @@ class CausalGraph:
     def descendants(self, name: str) -> frozenset[str]:
         """All nodes reachable from `name` by directed edges, excluding it."""
         self._require(name)
-        return self._reach(name, self._children)
+        return reach(name, self._children)
 
     def ancestors(self, name: str) -> frozenset[str]:
         self._require(name)
-        return self._reach(name, self._parents)
-
-    def _reach(self, start: str, step: dict[str, tuple[str, ...]]) -> frozenset[str]:
-        out: set[str] = set()
-        queue = deque(step[start])
-        while queue:
-            n = queue.popleft()
-            if n in out:
-                continue
-            out.add(n)
-            queue.extend(step[n])
-        return frozenset(out)
+        return reach(name, self._parents)
 
     # -- path enumeration --------------------------------------------------
 

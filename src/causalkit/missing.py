@@ -18,15 +18,15 @@ statement remains testable from partially observed rows.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import DiscreteDataset, ProbTable
+from .data import DiscreteDataset, ProbTable, marginal_counts
 from .errors import (
+    EmptySelection,
     EmptyStratum,
     InvalidCpt,
     OverlappingSets,
@@ -332,24 +332,14 @@ def recover_joint(
     x_states = ds.column_states(cause)
     y_states = ds.column_states(outcome)
 
-    def observed(lead: list[str], indicators: list[str]) -> Counter:
+    def observed(lead: list[str], indicators: list[str]):
         """Counts over `lead` among the rows whose `indicators` all read 0."""
-        out: Counter = Counter()
-        for k, c in ds.counts(lead + indicators).items():
-            if all(v == "0" for v in k[len(lead):]):
-                out[k[: len(lead)]] += c
-        return out
-
-    def conditional_y(xy: Counter, x_val: str) -> dict[str, float]:
-        total = sum(c for (xv, _), c in xy.items() if xv == x_val)
-        if not total:
-            raise EmptyStratum({cause: x_val})
-        return {s: xy[(x_val, s)] / total for s in y_states}
+        return ds.counts(lead, where=dict.fromkeys(indicators, "0"))
 
     entries: dict[tuple[str, str], float] = {}
     if family == "a":
         xy = observed([cause, outcome], [r_y])
-        total = sum(xy.values())
+        total = xy.total()
         if total == 0:
             raise EmptyStratum({r_y: "0"})
         for key, c in xy.items():
@@ -357,6 +347,8 @@ def recover_joint(
     else:
         if family == "b":
             x_counts = observed([cause], [])
+            if not x_counts:
+                raise EmptySelection(f"no complete rows over {[cause]}")
             xy = observed([cause, outcome], [r_y])
         else:  # family d
             r_x = mg.indicator_of(cause)
@@ -364,15 +356,18 @@ def recover_joint(
             if not x_counts:
                 raise EmptyStratum({r_x: "0"})
             xy = observed([cause, outcome], [r_x, r_y])
-        n = sum(x_counts.values())
+        n = x_counts.total()
+        x_totals = marginal_counts(xy, [0])
         for xv in x_states:
             p_x = x_counts[(xv,)] / n
             if p_x == 0.0:
                 continue
-            cond = conditional_y(xy, xv)
+            total = x_totals[(xv,)]
+            if not total:
+                raise EmptyStratum({cause: xv})
             for yv in y_states:
-                if cond[yv]:
-                    entries[(xv, yv)] = p_x * cond[yv]
+                if xy[(xv, yv)]:
+                    entries[(xv, yv)] = p_x * (xy[(xv, yv)] / total)
 
     variables = tuple(variables)
     if variables == (cause, outcome):

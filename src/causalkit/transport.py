@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .data import DiscreteDataset
+from .data import DiscreteDataset, marginal_counts
 from .errors import (
     EmptySelection,
     EmptyStratum,
@@ -92,28 +92,21 @@ def stratified_debias(
     if y_val not in ds.column_states(y):
         raise UnknownState(y, y_val)
     scols = list(strata)
+    treated = {x: x_val}
 
-    weight_counts = {
-        k[1:]: c for k, c in ds.counts([x] + scols).items() if k[0] == x_val
-    }
+    weight_counts = ds.counts(scols, where=treated)
     if not weight_counts:
         raise EmptySelection(f"no rows with {x}={x_val} complete over {scols}")
-    n_base = sum(weight_counts.values())
+    n_base = weight_counts.total()
 
-    cond_hits: dict[tuple, int] = {}
-    cond_totals: dict[tuple, int] = {}
-    for (xv, yv, *sv), c in ds.counts([x, y] + scols).items():
-        if xv == x_val:
-            sv = tuple(sv)
-            cond_totals[sv] = cond_totals.get(sv, 0) + c
-            if yv == y_val:
-                cond_hits[sv] = c
+    cond_counts = ds.counts([y] + scols, where=treated)
+    cond_totals = marginal_counts(cond_counts, range(1, 1 + len(scols)))
 
     total = 0.0
     for sv in sorted(weight_counts):
-        if cond_totals.get(sv, 0) == 0:
+        if cond_totals[sv] == 0:
             raise EmptyStratum({x: x_val} | dict(zip(scols, sv)))
-        conditional = cond_hits.get(sv, 0) / cond_totals[sv]
+        conditional = cond_counts[(y_val, *sv)] / cond_totals[sv]
         total += conditional * (weight_counts[sv] / n_base)
     return total
 

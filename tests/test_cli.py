@@ -623,6 +623,18 @@ def test_missing_recover_not_recoverable(fixdir, datadir, capsys):
     assert payload == {"recoverable": False, "table": None}
 
 
+def test_missing_recover_header_only_csv(fixdir, tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("X,Y,Ry\n")
+    rc, out, err = run(
+        capsys,
+        ["missing", "recover", "--data", str(data),
+         "--graph", str(fixdir / "mgraph_mar.json"), "--vars", "X", "Y"],
+    )
+    assert (rc, out) == (1, "")
+    assert err == "error: EmptySelection: no complete rows over ['X']\n"
+
+
 def test_missing_testable(fixdir, capsys):
     graph = str(fixdir / "mgraph_two_sided.json")
     rc, out, _ = run(

@@ -8,6 +8,7 @@ from causalkit import (
     CausalGraph,
     Cpt,
     DiscreteDataset,
+    EmptySelection,
     EmptyStratum,
     InvalidCpt,
     Mechanism,
@@ -308,6 +309,15 @@ def test_recover_family_b_hand_computed():
     assert table.prob(("0", "0")) == pytest.approx(0.25)
     assert table.prob(("0", "1")) == pytest.approx(0.25)
     assert table.prob(("1", "1")) == pytest.approx(0.5)
+
+
+def test_recover_on_a_table_without_rows_is_an_empty_selection():
+    empty = masked_ds(["X", "Y", "Ry"], [])
+    with pytest.raises(EmptySelection, match=r"no complete rows over \['X'\]"):
+        recover_joint(fx.mgraph_mar(), empty, ["X", "Y"])
+    for mg in (fx.mgraph_mcar(), fx.mgraph_two_sided()):
+        with pytest.raises(EmptyStratum):
+            recover_joint(mg, masked_ds(["X", "Y", "Rx", "Ry"], []), ["X", "Y"])
 
 
 def test_recover_family_d_hand_computed():
