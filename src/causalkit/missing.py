@@ -332,13 +332,9 @@ def recover_joint(
     x_states = ds.column_states(cause)
     y_states = ds.column_states(outcome)
 
-    def observed(lead: list[str], indicators: list[str]):
-        """Counts over `lead` among the rows whose `indicators` all read 0."""
-        return ds.counts(lead, where=dict.fromkeys(indicators, "0"))
-
     entries: dict[tuple[str, str], float] = {}
     if family == "a":
-        xy = observed([cause, outcome], [r_y])
+        xy = ds.counts([cause, outcome], where={r_y: "0"})
         total = xy.total()
         if total == 0:
             raise EmptyStratum({r_y: "0"})
@@ -346,16 +342,16 @@ def recover_joint(
             entries[key] = c / total
     else:
         if family == "b":
-            x_counts = observed([cause], [])
+            x_counts = ds.counts([cause])
             if not x_counts:
                 raise EmptySelection(f"no complete rows over {[cause]}")
-            xy = observed([cause, outcome], [r_y])
+            xy = ds.counts([cause, outcome], where={r_y: "0"})
         else:  # family d
             r_x = mg.indicator_of(cause)
-            x_counts = observed([cause], [r_x])
+            x_counts = ds.counts([cause], where={r_x: "0"})
             if not x_counts:
                 raise EmptyStratum({r_x: "0"})
-            xy = observed([cause, outcome], [r_x, r_y])
+            xy = ds.counts([cause, outcome], where={r_x: "0", r_y: "0"})
         n = x_counts.total()
         x_totals = marginal_counts(xy, [0])
         for xv in x_states:

@@ -331,6 +331,21 @@ def test_propagation_avoids_new_collider():
     assert pattern.undirected == frozenset()
 
 
+def test_propagation_never_closes_a_directed_cycle():
+    # c -> a with c, b non-adjacent asks for a -> b, but b -> d -> a is
+    # already directed, so a -> b would close a cycle and a - b stays
+    directed = {("c", "a"), ("b", "d"), ("d", "a")}
+    skeleton = Pattern(("a", "b", "c", "d"), frozenset({("a", "b")}), frozenset(directed))
+    pattern = orient(skeleton, sepsets={})
+    assert pattern.directed == frozenset(directed)
+    assert pattern.undirected == frozenset({("a", "b")})
+
+    acyclic = Pattern(
+        ("a", "b", "c", "d"), frozenset({("a", "b")}), frozenset(directed - {("d", "a")})
+    )
+    assert ("a", "b") in orient(acyclic, sepsets={}).directed
+
+
 # -- PC from data -------------------------------------------------------------------------
 
 
