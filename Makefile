@@ -1,6 +1,6 @@
 PYTHON ?= python3
 
-.PHONY: check fixtures reproduce test
+.PHONY: check fixtures lines reproduce test
 
 # materialize every built-in example file under ./fixtures
 fixtures:
@@ -9,6 +9,10 @@ fixtures:
 # re-derive every documented example value; writes JSON artifacts too
 reproduce:
 	$(PYTHON) scripts/reproduce_examples.py --artifacts artifacts
+
+# total line count of src/causalkit/*.py, the figure CHANGES.md quotes
+lines:
+	@cat src/causalkit/*.py | wc -l
 
 test:
 	$(PYTHON) -m pytest -v

@@ -4,8 +4,8 @@ The package is organized by task:
 
 - `graph`: causal DAGs, d-separation, backdoor criterion, rule checks,
   graph surgery.
-- `scm`: discrete structural causal models with exact enumeration,
-  intervention, and seeded ancestral sampling.
+- `scm`: discrete structural causal models with exact queries by
+  variable elimination, intervention, and seeded ancestral sampling.
 - `data`: categorical datasets with missing cells, CSV interchange, and
   joint probability tables.
 - `estimation`: adjustment-formula estimators, average causal effects,

@@ -88,6 +88,17 @@ def _assignment(text: str) -> tuple[str, str]:
     return name, value
 
 
+class _Assignments(argparse.Action):
+    """Store a list of NAME=VALUE pairs, refusing a name given twice."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        names = [name for name, _ in values]
+        for name in names:
+            if names.count(name) > 1:
+                raise argparse.ArgumentError(self, f"node {name!r} given twice")
+        setattr(namespace, self.dest, values)
+
+
 def _ranged(kind, ok, expected: str):
     """An argparse `type`: `kind(text)`, refused unless `ok` accepts it."""
     def parse(text: str):
@@ -504,11 +515,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-latent", action="store_true")
     _finish(p, _cmd_scm_sample)
 
-    p = scm_sub.add_parser("query", help="exact probability by enumeration")
+    p = scm_sub.add_parser("query", help="exact probability by variable elimination")
     p.add_argument("--model", required=True)
-    p.add_argument("--target", nargs="+", type=_assignment, required=True)
-    p.add_argument("--given", nargs="*", type=_assignment, default=[])
-    p.add_argument("--do", nargs="*", type=_assignment, default=[])
+    p.add_argument("--target", nargs="+", type=_assignment, action=_Assignments, required=True)
+    p.add_argument("--given", nargs="*", type=_assignment, action=_Assignments, default=[])
+    p.add_argument("--do", nargs="*", type=_assignment, action=_Assignments, default=[])
     _finish(p, _cmd_scm_query)
 
     est_p = sub.add_parser("estimate", help="adjustment-based estimation")

@@ -167,15 +167,10 @@ class DiscreteDataset:
             keep &= self._column(name) >= 0
         return keep
 
-    def project(
-        self, names: Sequence[str], complete_only: bool = True
-    ) -> list[Row]:
-        """Rows restricted to `names`; with complete_only, rows missing any
-        of those cells are dropped."""
-        rows = self._label_rows(names)
-        if complete_only:
-            rows = list(compress(rows, self._complete(names).tolist()))
-        return rows
+    def project(self, names: Sequence[str]) -> list[Row]:
+        """Rows restricted to `names`, dropping rows missing any of those
+        cells."""
+        return list(compress(self._label_rows(names), self._complete(names).tolist()))
 
     def counts(
         self, names: Sequence[str], where: Mapping[str, str] | None = None

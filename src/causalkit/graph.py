@@ -222,10 +222,6 @@ class CausalGraph:
             raise CycleDetected(tuple(remaining))
         return tuple(order)
 
-    def validate(self) -> None:
-        """Re-run construction checks; a constructed graph always passes."""
-        CausalGraph(self.nodes, self.edges)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CausalGraph):
             return NotImplemented

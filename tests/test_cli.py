@@ -1082,6 +1082,26 @@ def test_out_of_range_number_is_exit_2(fixdir, datadir, capsys, command, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags, flag, node",
+    [
+        (["--target", "Wet=1", "Wet=0"], "--target", "Wet"),
+        (["--target", "Wet=1", "--given", "Rain=1", "Rain=0"], "--given", "Rain"),
+        (["--target", "Wet=1", "--do", "Sprinkler=1", "Sprinkler=0"], "--do", "Sprinkler"),
+        (["--target", "Wet=1", "--do", "Sprinkler=1", "Sprinkler=1"], "--do", "Sprinkler"),
+    ],
+    ids=["target", "given", "do", "do same value"],
+)
+def test_scm_query_node_named_twice_is_exit_2(fixdir, capsys, flags, flag, node):
+    argv = ["scm", "query", "--model", str(fixdir / "sprinkler_scm.json"), *flags]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: node '{node}' given twice" in captured.err
+
+
 def test_in_range_numbers_at_their_bounds_pass(fixdir, datadir, capsys):
     rc, out, _ = run(
         capsys,

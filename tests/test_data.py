@@ -72,12 +72,6 @@ def test_unknown_column_lookup():
 def test_project_complete_only_drops_missing():
     ds = small_ds()
     assert ds.project(["x", "y"]) == [("0", "0"), ("0", "1"), ("1", "1")]
-    assert ds.project(["x", "y"], complete_only=False) == [
-        ("0", "0"),
-        ("0", "1"),
-        ("1", None),
-        ("1", "1"),
-    ]
     # only the projected columns matter for completeness
     assert ds.project(["x"]) == [("0",), ("0",), ("1",), ("1",)]
 

@@ -2,8 +2,13 @@
 
 import itertools
 import json
+import random
+import signal
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalkit import (
     CausalGraph,
@@ -24,6 +29,7 @@ from causalkit import (
     scm_to_json,
 )
 from causalkit import fixtures as fx
+from causalkit.scm import MAX_NODES, MAX_STATES
 
 
 def enumerate_probability(scm, event):
@@ -292,6 +298,174 @@ def test_intervene_on_latent_rejected():
 def test_intervene_unknown_state():
     with pytest.raises(UnknownState):
         fx.sprinkler_scm().intervene({"Rain": "drizzle"})
+
+
+# -- exact queries against the oracle, and their run time at the cap -----------
+
+
+@st.composite
+def random_scms(draw):
+    """A DAG on 1-6 nodes with 2-3 states each and CPT rows drawn from small
+    integer weights, so exact zeros are common. Edges run forward in a
+    hidden causal order that the node names do not reveal; roots may be
+    latent."""
+    n = draw(st.integers(1, 6))
+    names = [f"V{i}" for i in draw(st.permutations(range(n)))]
+    edges = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+             if draw(st.booleans())]
+    roots = set(names) - {b for _, b in edges}
+    latent = {v for v in sorted(roots) if draw(st.booleans())}
+    graph = CausalGraph(
+        [Node(v, NodeKind.LATENT if v in latent else NodeKind.OBSERVED) for v in names],
+        edges,
+    )
+    states = {v: tuple("abc"[: draw(st.integers(2, 3))]) for v in names}
+
+    def dist(k):
+        w = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        return tuple(x / sum(w) for x in w)
+
+    cpts, latent_dists = {}, {}
+    for v in names:
+        if v in latent:
+            latent_dists[v] = dict(zip(states[v], dist(len(states[v]))))
+            continue
+        parents = graph.parents(v)
+        cpts[v] = Cpt(v, parents, states[v], {
+            combo: dist(len(states[v]))
+            for combo in itertools.product(*(states[p] for p in parents))
+        })
+    return DiscreteScm(graph, cpts, latent_dists)
+
+
+def draw_event(draw, scm, nodes):
+    return {v: draw(st.sampled_from(scm.states(v))) for v in nodes}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_exact_queries_match_the_enumeration_oracle(data):
+    """probability, joint_probability and query_conditional on random models,
+    before and after `intervene`, against brute-force enumeration; the zero
+    evidence error exactly when the enumerated evidence probability is 0."""
+    scm = data.draw(random_scms())
+    names = scm.graph.node_names()
+    do = draw_event(data.draw, scm, [
+        v for v in names
+        if scm.graph.kind(v) is not NodeKind.LATENT and data.draw(st.booleans())
+    ])
+    model = scm.intervene(do) if do else scm
+    shuffled = data.draw(st.permutations(names))
+    t = data.draw(st.integers(1, len(names)))
+    e = data.draw(st.integers(0, len(names) - t))
+    target = draw_event(data.draw, model, shuffled[:t])
+    evidence = draw_event(data.draw, model, shuffled[t:t + e])
+    close = dict(rel=1e-12, abs=1e-15)
+
+    joint = {**evidence, **target}
+    assert model.probability(joint) == pytest.approx(
+        enumerate_probability(model, joint), **close)
+    full = draw_event(data.draw, model, names)
+    assert model.joint_probability(full) == pytest.approx(
+        enumerate_probability(model, full), **close)
+    den = enumerate_probability(model, evidence)
+    if den == 0.0:
+        with pytest.raises(ZeroEvidenceProbability):
+            model.query_conditional(target, evidence)
+    else:
+        assert model.query_conditional(target, evidence) == pytest.approx(
+            enumerate_probability(model, joint) / den, **close)
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def cpu_bounded(fn, budget):
+    """fn()'s result, failing the test once the process has spent `budget`
+    seconds of CPU time on it, so that a walk over 5^20 configurations
+    fails instead of running for hours."""
+    def stop(signum, frame):
+        raise _OverBudget
+
+    previous = signal.signal(signal.SIGPROF, stop)
+    signal.setitimer(signal.ITIMER_PROF, budget)
+    start = time.process_time()
+    try:
+        out = fn()
+    except _OverBudget:
+        pytest.fail(f"query used more than {budget} s of CPU time")
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+    spent = time.process_time() - start
+    assert spent < budget, f"query took {spent:.3f} s of CPU time"
+    return out
+
+
+def test_chain_query_at_the_node_cap_is_fast():
+    rng = random.Random(3)
+    names = [f"C{i}" for i in range(MAX_NODES)]
+    cpts = {"C0": Cpt("C0", (), ("0", "1"), {(): (0.3, 0.7)})}
+    trans = []
+    for child, parent in zip(names[1:], names):
+        rows = {s: (1 - p, p) for s, p in zip("01", (rng.random(), rng.random()))}
+        trans.append(rows)
+        cpts[child] = Cpt(child, (parent,), ("0", "1"),
+                          {(s,): row for s, row in rows.items()})
+    scm = DiscreteScm(CausalGraph(names, list(zip(names, names[1:]))), cpts)
+
+    got = cpu_bounded(
+        lambda: scm.query_conditional({names[-1]: "1"}, {"C2": "0"}), 0.1
+    )
+    vec = (1.0, 0.0)  # C2 = 0, pushed through the later transition tables
+    for rows in trans[2:]:
+        vec = tuple(sum(vec[i] * rows["01"[i]][j] for i in (0, 1)) for j in (0, 1))
+    assert got == pytest.approx(vec[1], rel=1e-12)
+
+
+def polytree_edges(names):
+    """A tree skeleton with random edge directions, at most two parents each."""
+    rng = random.Random(5)
+    parents = {v: [] for v in names}
+    for i, v in enumerate(names[1:], start=1):
+        u = names[rng.randrange(i)]
+        if len(parents[u]) < 2 and rng.random() < 0.5:
+            parents[u].append(v)
+        else:
+            parents[v].append(u)
+    return [(p, v) for v in names for p in parents[v]]
+
+
+def grid_edges(names, width=5):
+    """Rows of `width` nodes, each pointing right and down: treewidth 4."""
+    return [(a, b) for i, a in enumerate(names) for j, b in enumerate(names)
+            if (j == i + 1 and j % width) or j == i + width]
+
+
+@pytest.mark.parametrize("edges", [polytree_edges, grid_edges], ids=["polytree", "grid"])
+def test_query_at_both_caps_is_fast(edges):
+    rng = random.Random(5)
+    names = [f"P{i}" for i in range(MAX_NODES)]
+    graph = CausalGraph(names, edges(names))
+    states = tuple(str(s) for s in range(MAX_STATES))
+
+    def dist():
+        w = [rng.random() for _ in states]
+        return tuple(x / sum(w) for x in w)
+
+    scm = DiscreteScm(graph, {
+        v: Cpt(v, graph.parents(v), states, {
+            combo: dist() for combo in itertools.product(states, repeat=len(graph.parents(v)))
+        })
+        for v in names
+    })
+    evidence = {"P0": "1", names[-1]: "3"}
+    got = cpu_bounded(
+        lambda: [scm.query_conditional({"P9": s}, evidence) for s in states], 0.1
+    )
+    assert sum(got) == pytest.approx(1.0, rel=1e-12)
+    assert len(set(got)) > 1
 
 
 # -- sampling ---------------------------------------------------------------------
