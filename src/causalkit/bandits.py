@@ -78,7 +78,7 @@ class BanditEnv:
             raise SchemaMismatch("payout rows must match confounder states")
         if len(self.confounder_probs) != len(states):
             raise SchemaMismatch("confounder probabilities must match states")
-        if abs(sum(self.confounder_probs) - 1.0) > 1e-9 or any(
+        if not abs(sum(self.confounder_probs) - 1.0) <= 1e-9 or any(  # NaN fails too
             p < 0 for p in self.confounder_probs
         ):
             raise SchemaMismatch("confounder probabilities must form a distribution")

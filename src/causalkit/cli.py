@@ -7,13 +7,13 @@ structure discovery, and fixture export.
 
 Conventions: `--out text` (default) prints probabilities with three
 decimals, `--out json` prints full precision; randomized subcommands
-require `--seed`; all referenced files are read and parsed before any
-computation runs. Every input file goes through `_load` and every output
-file (`--save`, `fixtures --dest`) through `_write`. Exit codes: 0 on
-success, 1 when the computation raises a domain error, 2 for usage
-problems and for a file that cannot be read, does not parse, or cannot be
-written. The environment variable CAUSALKIT_MAX_NODES overrides the
-path-enumeration node cap, which only `selection-check` reaches.
+require `--seed`. Each subcommand declares its input files (`_command`);
+`main` reads and parses them, in flag order, before the handler runs.
+Output files (`--save`, `fixtures --dest`) go through `_write`. Exit
+codes: 0 on success, 1 when the computation raises a domain error, 2 for
+usage problems and for a file that cannot be read, does not parse, or
+cannot be written. The environment variable CAUSALKIT_MAX_NODES overrides
+the path-enumeration node cap, which only `selection-check` reaches.
 """
 
 from __future__ import annotations
@@ -55,9 +55,21 @@ class _FileError(Exception):
     """A file cannot be read, does not parse, or cannot be written."""
 
 
-def _load(path: str, what: str, parse):
-    """Read `path` and build a `what` from its text with `parse` (a
-    `*_from_json` codec or `DiscreteDataset.from_csv`)."""
+# Input files, each (flag, what the file holds, parser of its text, flag help).
+_GRAPH = ("--graph", "graph", graph_from_json, None)
+_MGRAPH = ("--graph", "missingness graph", mgraph_from_json, None)
+_MODEL = ("--model", "model", scm_from_json, None)
+# looked up per call, so a wrapper bound on the class later is the one called
+_DATA = ("--data", "dataset", lambda text: DiscreteDataset.from_csv(text), None)
+_ENV = ("--env", "bandit environment", env_from_json, None)
+_EFFECTS = ("--effects", "effects file", StratumEffects.from_json, "StratumEffects JSON file")
+_RCPT = ("--rcpt", "indicator-table file", mask_cpts_from_json, "indicator tables JSON")
+
+
+def _load(args, spec):
+    """Read the file that input `spec` names in `args` and parse its text."""
+    flag, what, parse, _ = spec
+    path = getattr(args, flag[2:])
     try:
         with open(path) as fh:
             text = fh.read()
@@ -115,6 +127,7 @@ def _ranged(kind, ok, expected: str):
 _COUNT = _ranged(int, lambda v: v >= 0, "an integer >= 0")
 _PROBABILITY = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
 _LEVEL = _ranged(float, lambda v: 0.0 < v < 1.0, "a level in (0, 1)")
+_NONNEGATIVE = _ranged(float, lambda v: v >= 0, "a number >= 0")
 
 
 def _fmt(value: float) -> str:
@@ -135,11 +148,10 @@ def _csv_result(ds: DiscreteDataset, save: Optional[str]):
     return payload, [csv_text.rstrip("\n")]
 
 
-# -- handlers (each returns (json_payload, text_lines)) ------------------------
+# -- handlers (args and loaded inputs in, (json_payload, text_lines) out) -------
 
 
-def _cmd_dsep(args):
-    graph = _load(args.graph, "graph", graph_from_json)
+def _cmd_dsep(args, graph):
     result = graph.is_d_separated(set(args.x), set(args.y), set(args.given))
     payload = {
         "x": sorted(args.x),
@@ -150,8 +162,7 @@ def _cmd_dsep(args):
     return payload, [f"d-separated: {str(result).lower()}"]
 
 
-def _cmd_backdoor_check(args):
-    graph = _load(args.graph, "graph", graph_from_json)
+def _cmd_backdoor_check(args, graph):
     result = graph.satisfies_backdoor_criterion(args.x, args.y, args.adjust)
     payload = {
         "x": args.x,
@@ -162,8 +173,7 @@ def _cmd_backdoor_check(args):
     return payload, [f"satisfies backdoor criterion: {str(result).lower()}"]
 
 
-def _cmd_identify(args):
-    graph = _load(args.graph, "graph", graph_from_json)
+def _cmd_identify(args, graph):
     rule3 = graph.rule3_applicable(args.x, args.y)
     rule1 = graph.rule1_applicable(args.y, args.x, args.w, args.given)
     payload = {
@@ -183,14 +193,12 @@ def _cmd_identify(args):
     return payload, lines
 
 
-def _cmd_scm_sample(args):
-    scm = _load(args.model, "model", scm_from_json)
+def _cmd_scm_sample(args, scm):
     ds = scm.sample(args.n, args.seed, include_latent=args.include_latent)
     return _csv_result(ds, args.save)
 
 
-def _cmd_scm_query(args):
-    scm = _load(args.model, "model", scm_from_json)
+def _cmd_scm_query(args, scm):
     if args.do:
         scm = scm.intervene(dict(args.do))
     target = dict(args.target)
@@ -207,8 +215,7 @@ def _cmd_scm_query(args):
     return payload, [_fmt(p)]
 
 
-def _cmd_estimate_do(args):
-    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
+def _cmd_estimate_do(args, ds):
     x, x_val = args.x
     y, y_val = args.y
     estimator = backdoor_adjust_ratio if args.ratio else backdoor_adjust
@@ -224,8 +231,7 @@ def _cmd_estimate_do(args):
     return payload, [_fmt(estimate)]
 
 
-def _cmd_estimate_ace(args):
-    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
+def _cmd_estimate_ace(args, ds):
     y, y_val = args.y
     ace = compute_ace(ds, args.x, args.treat, args.control, y, y_val, args.adjust)
     payload = {
@@ -239,8 +245,7 @@ def _cmd_estimate_ace(args):
     return payload, [_fmt(ace)]
 
 
-def _cmd_estimate_simpson(args):
-    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
+def _cmd_estimate_simpson(args, ds):
     y, y_val = args.y
     report = detect_simpson_reversal(ds, args.x, y, y_val, args.strata)
     first, second = report.arms
@@ -276,8 +281,7 @@ def _cmd_estimate_simpson(args):
     return payload, lines
 
 
-def _cmd_selection_check(args):
-    graph = _load(args.graph, "graph", graph_from_json)
+def _cmd_selection_check(args, graph):
     report = detect_selection_bias(graph, args.x, args.y)
     payload = {
         "x": report.x,
@@ -305,8 +309,7 @@ def _cmd_selection_check(args):
     return payload, lines
 
 
-def _cmd_debias(args):
-    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
+def _cmd_debias(args, ds):
     x, x_val = args.x
     y, y_val = args.y
     estimate = stratified_debias(ds, x, x_val, y, y_val, args.strata)
@@ -319,29 +322,22 @@ def _cmd_debias(args):
     return payload, [_fmt(estimate)]
 
 
-def _cmd_transport(args):
-    se = _load(args.effects, "effects file", StratumEffects.from_json)
+def _cmd_transport(args, se):
     estimate = transport_estimate(se)
     payload = {"stratum": se.stratum, "estimate": estimate}
     return payload, [_fmt(estimate)]
 
 
-def _cmd_missing_classify(args):
-    mg = _load(args.graph, "missingness graph", mgraph_from_json)
+def _cmd_missing_classify(args, mg):
     mechanism = classify_mechanism(mg)
     return {"mechanism": mechanism.value}, [f"mechanism: {mechanism.value}"]
 
 
-def _cmd_missing_mask(args):
-    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
-    mg = _load(args.graph, "missingness graph", mgraph_from_json)
-    cpts = _load(args.rcpt, "indicator-table file", mask_cpts_from_json)
+def _cmd_missing_mask(args, ds, mg, cpts):
     return _csv_result(apply_missingness(ds, mg, cpts, args.seed), args.save)
 
 
-def _cmd_missing_recover(args):
-    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
-    mg = _load(args.graph, "missingness graph", mgraph_from_json)
+def _cmd_missing_recover(args, ds, mg):
     table = recover_joint(mg, ds, args.vars)
     if table is NOT_RECOVERABLE:
         return {"recoverable": False, "table": None}, ["NOT_RECOVERABLE"]
@@ -353,8 +349,7 @@ def _cmd_missing_recover(args):
     return payload, lines
 
 
-def _cmd_missing_testable(args):
-    mg = _load(args.graph, "missingness graph", mgraph_from_json)
+def _cmd_missing_testable(args, mg):
     result = is_ci_testable(mg, args.x, args.y, args.given)
     payload = {
         "x": sorted(args.x),
@@ -377,8 +372,7 @@ def _cmd_missing_testable(args):
     return payload, lines
 
 
-def _cmd_bandit_sim(args):
-    env = _load(args.env, "bandit environment", env_from_json)
+def _cmd_bandit_sim(args, env):
     policy = make_policy(args.policy, epsilon=args.epsilon)
     result = simulate(
         env, policy, args.horizon, args.seed, regret_benchmark=args.benchmark
@@ -405,8 +399,7 @@ def _cmd_bandit_sim(args):
     return payload, lines
 
 
-def _cmd_discover_pc(args):
-    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
+def _cmd_discover_pc(args, ds):
     pattern = pc(
         ds,
         alpha=args.alpha,
@@ -425,8 +418,7 @@ def _cmd_discover_pc(args):
     return payload, lines
 
 
-def _cmd_discover_ges(args):
-    ds = _load(args.data, "dataset", DiscreteDataset.from_csv)
+def _cmd_discover_ges(args, ds):
     graph, trace = greedy_score_search(ds)
     payload = {
         "graph": graph_to_dict(graph),
@@ -464,6 +456,16 @@ def _cmd_fixtures(args):
 # -- parser ---------------------------------------------------------------------
 
 
+def _command(sub, name: str, help: str, *inputs) -> argparse.ArgumentParser:
+    """A subcommand whose input-file flags come first, in the order `main`
+    loads them and passes them to the handler."""
+    p = sub.add_parser(name, help=help)
+    for flag, _, _, flag_help in inputs:
+        p.add_argument(flag, required=True, help=flag_help)
+    p.set_defaults(inputs=inputs)
+    return p
+
+
 def _finish(p: argparse.ArgumentParser, handler) -> None:
     """Give a subcommand the shared `--out` flag and its handler."""
     p.add_argument(
@@ -482,22 +484,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dsep", help="test d-separation in a graph")
-    p.add_argument("--graph", required=True)
+    p = _command(sub, "dsep", "test d-separation in a graph", _GRAPH)
     p.add_argument("--x", nargs="+", required=True)
     p.add_argument("--y", nargs="+", required=True)
     p.add_argument("--given", nargs="*", default=[])
     _finish(p, _cmd_dsep)
 
-    p = sub.add_parser("backdoor-check", help="test the backdoor criterion")
-    p.add_argument("--graph", required=True)
+    p = _command(sub, "backdoor-check", "test the backdoor criterion", _GRAPH)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--adjust", nargs="*", default=[])
     _finish(p, _cmd_backdoor_check)
 
-    p = sub.add_parser("identify", help="report do-calculus rule applicability")
-    p.add_argument("--graph", required=True)
+    p = _command(sub, "identify", "report do-calculus rule applicability", _GRAPH)
     p.add_argument("--x", required=True, help="intervened node")
     p.add_argument("--y", required=True, help="outcome node")
     p.add_argument("--w", nargs="*", default=[], help="observations to drop")
@@ -507,16 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     scm_p = sub.add_parser("scm", help="sample from or query a model")
     scm_sub = scm_p.add_subparsers(dest="subcommand", required=True)
 
-    p = scm_sub.add_parser("sample", help="draw records by ancestral sampling")
-    p.add_argument("--model", required=True)
+    p = _command(scm_sub, "sample", "draw records by ancestral sampling", _MODEL)
     p.add_argument("--n", type=_COUNT, required=True)
     p.add_argument("--seed", type=_COUNT, required=True)
     p.add_argument("--save", help="write CSV here instead of stdout")
     p.add_argument("--include-latent", action="store_true")
     _finish(p, _cmd_scm_sample)
 
-    p = scm_sub.add_parser("query", help="exact probability by variable elimination")
-    p.add_argument("--model", required=True)
+    p = _command(scm_sub, "query", "exact probability by variable elimination", _MODEL)
     p.add_argument("--target", nargs="+", type=_assignment, action=_Assignments, required=True)
     p.add_argument("--given", nargs="*", type=_assignment, action=_Assignments, default=[])
     p.add_argument("--do", nargs="*", type=_assignment, action=_Assignments, default=[])
@@ -525,8 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     est_p = sub.add_parser("estimate", help="adjustment-based estimation")
     est_sub = est_p.add_subparsers(dest="subcommand", required=True)
 
-    p = est_sub.add_parser("do", help="interventional probability via adjustment")
-    p.add_argument("--data", required=True)
+    p = _command(est_sub, "do", "interventional probability via adjustment", _DATA)
     p.add_argument("--x", type=_assignment, required=True, metavar="X=VAL")
     p.add_argument("--y", type=_assignment, required=True, metavar="Y=VAL")
     p.add_argument("--adjust", nargs="*", default=[])
@@ -534,8 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", action="store_true", help="use the joint-ratio route")
     _finish(p, _cmd_estimate_do)
 
-    p = est_sub.add_parser("ace", help="average causal effect between two arms")
-    p.add_argument("--data", required=True)
+    p = _command(est_sub, "ace", "average causal effect between two arms", _DATA)
     p.add_argument("--x", required=True, help="treatment column")
     p.add_argument("--treat", required=True)
     p.add_argument("--control", required=True)
@@ -543,53 +538,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adjust", nargs="*", default=[])
     _finish(p, _cmd_estimate_ace)
 
-    p = est_sub.add_parser("simpson", help="aggregate-vs-stratified reversal check")
-    p.add_argument("--data", required=True)
+    p = _command(est_sub, "simpson", "aggregate-vs-stratified reversal check", _DATA)
     p.add_argument("--x", required=True, help="binary treatment column")
     p.add_argument("--y", type=_assignment, required=True, metavar="Y=VAL")
     p.add_argument("--strata", nargs="+", required=True)
     _finish(p, _cmd_estimate_simpson)
 
-    p = sub.add_parser("selection-check", help="find selection-opened backdoor paths")
-    p.add_argument("--graph", required=True)
+    p = _command(sub, "selection-check", "find selection-opened backdoor paths", _GRAPH)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     _finish(p, _cmd_selection_check)
 
-    p = sub.add_parser("debias", help="stratified estimate from a selection-masked table")
-    p.add_argument("--data", required=True)
+    p = _command(sub, "debias", "stratified estimate from a selection-masked table", _DATA)
     p.add_argument("--x", type=_assignment, required=True, metavar="X=VAL")
     p.add_argument("--y", type=_assignment, required=True, metavar="Y=VAL")
     p.add_argument("--strata", nargs="+", required=True)
     _finish(p, _cmd_debias)
 
-    p = sub.add_parser("transport", help="re-weight stratum effects to a new population")
-    p.add_argument("--effects", required=True, help="StratumEffects JSON file")
+    p = _command(sub, "transport", "re-weight stratum effects to a new population", _EFFECTS)
     _finish(p, _cmd_transport)
 
     mis_p = sub.add_parser("missing", help="missingness-graph operations")
     mis_sub = mis_p.add_subparsers(dest="subcommand", required=True)
 
-    p = mis_sub.add_parser("classify", help="MCAR / MAR / MNAR from the graph")
-    p.add_argument("--graph", required=True)
+    p = _command(mis_sub, "classify", "MCAR / MAR / MNAR from the graph", _MGRAPH)
     _finish(p, _cmd_missing_classify)
 
-    p = mis_sub.add_parser("mask", help="sample indicators and blank cells")
-    p.add_argument("--data", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--rcpt", required=True, help="indicator tables JSON")
+    p = _command(mis_sub, "mask", "sample indicators and blank cells", _DATA, _MGRAPH, _RCPT)
     p.add_argument("--seed", type=_COUNT, required=True)
     p.add_argument("--save", help="write CSV here instead of stdout")
     _finish(p, _cmd_missing_mask)
 
-    p = mis_sub.add_parser("recover", help="estimate a joint from masked data")
-    p.add_argument("--data", required=True)
-    p.add_argument("--graph", required=True)
+    p = _command(mis_sub, "recover", "estimate a joint from masked data", _DATA, _MGRAPH)
     p.add_argument("--vars", nargs="+", required=True)
     _finish(p, _cmd_missing_recover)
 
-    p = mis_sub.add_parser("testable", help="syntactic CI-testability check")
-    p.add_argument("--graph", required=True)
+    p = _command(mis_sub, "testable", "syntactic CI-testability check", _MGRAPH)
     p.add_argument("--x", nargs="+", required=True)
     p.add_argument("--y", nargs="+", required=True)
     p.add_argument("--given", nargs="*", default=[])
@@ -598,8 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     ban_p = sub.add_parser("bandit", help="bandit simulation")
     ban_sub = ban_p.add_subparsers(dest="subcommand", required=True)
 
-    p = ban_sub.add_parser("sim", help="run one policy on one environment")
-    p.add_argument("--env", required=True)
+    p = _command(ban_sub, "sim", "run one policy on one environment", _ENV)
     p.add_argument(
         "--policy",
         required=True,
@@ -615,18 +598,16 @@ def build_parser() -> argparse.ArgumentParser:
     dis_p = sub.add_parser("discover", help="structure learning from data")
     dis_sub = dis_p.add_subparsers(dest="subcommand", required=True)
 
-    p = dis_sub.add_parser("pc", help="constraint-based pattern search")
-    p.add_argument("--data", required=True)
+    p = _command(dis_sub, "pc", "constraint-based pattern search", _DATA)
     p.add_argument("--alpha", type=_LEVEL, default=0.05)
     p.add_argument("--max-cond", type=_COUNT, default=3)
-    p.add_argument("--min-expected", type=float, default=5.0)
+    p.add_argument("--min-expected", type=_NONNEGATIVE, default=5.0)
     _finish(p, _cmd_discover_pc)
 
-    p = dis_sub.add_parser("ges", help="greedy BIC hill-climb")
-    p.add_argument("--data", required=True)
+    p = _command(dis_sub, "ges", "greedy BIC hill-climb", _DATA)
     _finish(p, _cmd_discover_ges)
 
-    p = sub.add_parser("fixtures", help="write all built-in example files")
+    p = _command(sub, "fixtures", "write all built-in example files")
     p.add_argument("--dest", required=True)
     _finish(p, _cmd_fixtures)
 
@@ -645,7 +626,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, lines = args.handler(args)
+        loaded = [_load(args, spec) for spec in args.inputs]
+        payload, lines = args.handler(args, *loaded)
     except _FileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

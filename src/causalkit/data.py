@@ -302,7 +302,7 @@ class ProbTable:
             if p < -1e-12:
                 raise SchemaMismatch(f"negative probability at {key}")
         total = sum(self.entries.values())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise SchemaMismatch(f"probabilities sum to {total}, not 1")
 
     def prob(self, key: Sequence[str]) -> float:

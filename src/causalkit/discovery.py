@@ -205,6 +205,10 @@ def pc_skeleton(
     sepsets: SepSets = {}
 
     for level in range(max_cond_size + 1):
+        # a set of `level` others needs more than `level` adjacencies, and
+        # adjacencies only shrink, so no later level can run a test either
+        if all(len(adj[v]) <= level for v in names):
+            break
         for a, b in [
             (a, b) for a, b in combinations(names, 2) if b in adj[a]
         ]:

@@ -79,7 +79,7 @@ class Cpt:
                 )
             if any(p < 0.0 for p in dist):
                 raise InvalidCpt(f"{self.node}: negative probability in row {key}")
-            if abs(sum(dist) - 1.0) > 1e-9:
+            if not abs(sum(dist) - 1.0) <= 1e-9:  # NaN fails too
                 raise InvalidCpt(
                     f"{self.node}: row {key} sums to {sum(dist)}, not 1"
                 )

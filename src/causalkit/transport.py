@@ -156,6 +156,6 @@ def transport_estimate(se: StratumEffects) -> float:
     if any(w < 0 for w in se.weights.values()):
         raise WeightsNotNormalized("negative weight")
     total_w = sum(se.weights.values())
-    if abs(total_w - 1.0) > 1e-9:
+    if not abs(total_w - 1.0) <= 1e-9:  # NaN fails too
         raise WeightsNotNormalized(f"weights sum to {total_w}, not 1")
     return sum(se.effects[k] * se.weights[k] for k in sorted(se.effects))

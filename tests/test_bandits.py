@@ -82,6 +82,12 @@ def test_env_validation():
             confounder_states=("0", "1"),
             confounder_probs=(0.9, 0.2),
         )
+    with pytest.raises(SchemaMismatch):
+        BanditEnv(
+            payout={"0": (0.5,), "1": (0.5,)},
+            confounder_states=("0", "1"),
+            confounder_probs=(float("nan"), float("nan")),
+        )
     with pytest.raises(UnknownArm):
         BanditEnv(
             payout={"0": (0.5, 0.5), "1": (0.5, 0.5)},

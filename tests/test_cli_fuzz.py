@@ -1,0 +1,209 @@
+"""A fuzzer over the CLI's own parser.
+
+Each example picks a subcommand of `cli.build_parser()` and walks the flags
+it declares, filling each with a drawn value: an exported fixture file of
+the right or the wrong kind, a missing, unreadable or garbage file, an
+unwritable output path, node names and states the fixtures do or do not
+have, and numbers in or out of range. Required flags are sometimes left
+out. Every run goes through `cli.main` in-process and must return, or exit,
+with 0, 1 or 2, print no traceback, and stay within a CPU-time bound.
+
+`--n` and `--horizon` stay at 10^4 or below, because a valid huge count
+really asks for that many rows or rounds, and the 10^5-row covid study is
+never an input.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from causalkit import apply_missingness, cli
+from causalkit import fixtures as fx
+from test_cli_golden import _subcommands
+from test_scm import cpu_bounded
+
+LEAVES = _subcommands(cli.build_parser())
+SCMS = (
+    fx.kidney_scm(),
+    fx.confounded_scm(),
+    fx.sprinkler_scm(),
+    fx.covid_scm(),
+    fx.xy_scm(),
+    fx.collider_chain_scm(),
+)
+GRAPHS = [scm.graph for scm in SCMS] + [
+    fx.smoking_graph(),
+    fx.mgraph_two_sided().graph,
+]
+NAMES = sorted({n for g in GRAPHS for n in g.node_names()}) + ["Nope", "", "X,Y"]
+STATES = sorted(
+    {v for scm in SCMS for row in scm.sample(50, 0, include_latent=True).rows for v in row}
+) + ["no-such-state", ""]
+BAD_COUNTS = ["-1", "1.5", "1e3", "nan", "", "x"]
+REALS = ["0", "1", "0.5", "0.05", "1e-300", "-1", "2", "nan", "inf", "-inf", "", "x"]
+
+
+def _words(text):
+    """Every name a file mentions: JSON keys and strings, or CSV cells."""
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        return {cell for line in text.splitlines() for cell in line.split(",")}
+    words, stack = set(), [payload]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            words.update(item)
+            stack.extend(item.values())
+        elif isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, str):
+            words.add(item)
+    return words
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Input and output paths, all under one directory, with the words each
+    input file mentions."""
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {
+        name: text
+        for name, text in fx.fixture_files().items()
+        if name != "covid_study.csv"
+    }
+    xy = fx.xy_scm().sample(300, seed=3)
+    texts["xy.csv"] = xy.to_csv()
+    texts["xy_mar.csv"] = apply_missingness(
+        xy, fx.mgraph_mar(), fx.mask_cpts(fx.mgraph_mar()), 7
+    ).to_csv()
+    texts["broken.json"] = '{"nodes": ['
+    texts["empty.txt"] = ""
+    nan_model = json.loads(texts["xy_scm.json"])
+    nan_model["cpts"]["X"]["rows"][""] = [float("nan"), float("nan")]
+    texts["nan_model.json"] = json.dumps(nan_model)
+    words = {}
+    for name, text in texts.items():
+        (root / name).write_text(text)
+        words[str(root / name)] = sorted(_words(text))
+    (root / "latin1.json").write_bytes(b"\xff\xfe{}")
+    (root / "a_directory").mkdir()
+    (root / "plain").write_text("")
+    (root / "out").mkdir()
+    for name in ("latin1.json", "a_directory", "no_such_file"):
+        words[str(root / name)] = []
+    return {
+        "inputs": sorted(words),
+        "words": words,
+        "outputs": [str(root / "out" / "result"), str(root / "plain" / "below_a_file")],
+        "drawn": str(root / "drawn.txt"),
+    }
+
+
+# the file names a flag's own kind of input has
+KINDS = {
+    "graph": ("_graph.json", "mgraph_mar.json", "mgraph_mcar.json",
+              "mgraph_self_masking.json", "mgraph_two_sided.json"),
+    "model": ("_scm.json", "nan_model.json"),
+    "data": (".csv",),
+    "env": ("bandit_",),
+    "effects": ("age_strata.json",),
+    "rcpt": ("_mask.json",),
+}
+
+
+def _input(draw, files, dest):
+    """A file for input flag `dest`: mostly of its own kind, sometimes any
+    file or drawn text."""
+    own = [p for p in files["inputs"] if any(k in p.rsplit("/", 1)[1] for k in KINDS[dest])]
+    path = draw(_mostly(st.sampled_from(own), st.sampled_from(files["inputs"] + [None])))
+    if path is None:
+        path = files["drawn"]
+        with open(path, "w") as fh:
+            fh.write(draw(st.text(max_size=200)))
+    return path
+
+
+def _mostly(good, bad=st.just(False)):
+    """A value from `good` nine times in ten, else one from `bad`."""
+    # one_of would merge the repeated strategy and draw each half the time
+    return st.sampled_from([True] * 9 + [False]).flatmap(lambda ok: good if ok else bad)
+
+
+def _values(draw, action, files, vocab):
+    """The words after one flag, drawn by what the flag takes."""
+    if action.dest in ("save", "dest"):
+        return [draw(st.sampled_from(files["outputs"]))]
+    if action.nargs == 0:
+        return []
+    names = _mostly(st.sampled_from(vocab or NAMES), st.sampled_from(NAMES))
+    if action.choices:
+        one = _mostly(st.sampled_from(action.choices), st.just("bogus"))
+    elif action.type is None:
+        one = names
+    elif action.type is cli._assignment:
+        one = st.builds(
+            lambda n, s, sep: f"{n}{sep}{s}",
+            names,
+            _mostly(names, st.sampled_from(STATES)),
+            _mostly(st.just("="), st.just("")),
+        )
+    elif action.dest in ("n", "horizon"):
+        one = _mostly(st.integers(0, 10**4).map(str), st.sampled_from(BAD_COUNTS))
+    elif action.type is cli._COUNT:
+        huge = st.sampled_from(["99999999999", str(2**64)])
+        one = _mostly(st.one_of(st.integers(0, 5).map(str), huge), st.sampled_from(BAD_COUNTS))
+    else:
+        one = _mostly(st.floats(0, 1).map(repr), st.sampled_from(REALS))
+    if action.nargs in ("+", "*"):
+        return draw(_mostly(st.lists(one, min_size=1, max_size=3), st.just([])))
+    return [draw(one)]
+
+
+@st.composite
+def argvs(draw, files):
+    name = draw(st.sampled_from(sorted(LEAVES)))
+    leaf = LEAVES[name]
+    inputs = {flag[2:] for flag, *_ in leaf.get_default("inputs")}
+    groups, vocab = [], set()
+    for action in leaf._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if not draw(_mostly(st.just(True)) if action.required else st.booleans()):
+            continue
+        if action.dest in inputs:
+            path = _input(draw, files, action.dest)
+            vocab.update(files["words"].get(path, []))
+            groups.append([action.option_strings[0], path])
+        else:
+            groups.append([action.option_strings[0], *_values(draw, action, files, sorted(vocab))])
+    groups = draw(st.permutations(groups))
+    return name.split() + [word for group in groups for word in group]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(
+    max_examples=500,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_every_drawn_command_exits_cleanly(files, data):
+    argv = data.draw(argvs(files), label="argv")
+    code, err = cpu_bounded(lambda: _run(argv), 5.0)
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err

@@ -3,8 +3,9 @@
 Every README command and one invocation of each of the 19 subcommands runs
 in both `--out text` and `--out json`; the sha256 of each stdout is pinned.
 So is every subcommand's flag table (option strings, dest, default,
-choices, required, nargs). A refactor of the CLI's plumbing must leave all
-of these unchanged: the same bytes on stdout and the same options.
+choices, required, nargs) and its `--help` text. A refactor of the CLI's
+plumbing must leave all of these unchanged: the same bytes on stdout, the
+same options and the same help.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import contextlib
 import hashlib
 import io
 import os
+import sys
 
 import pytest
 
@@ -186,15 +188,20 @@ def test_every_case_is_pinned(digests):
     assert len(SUBCOMMANDS) == 19
 
 
-def _flag_table(parser: argparse.ArgumentParser, prefix: str = "") -> dict:
-    """{subcommand: [(options, dest, default, choices, required, nargs)]}."""
-    table = {}
+def _subcommands(parser: argparse.ArgumentParser, prefix: str = "") -> dict:
+    """{subcommand: its parser} for every leaf subcommand, e.g. "scm sample"."""
+    leaves = {}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                table.update(_flag_table(sub, f"{prefix}{name} "))
-    if not table:
-        table[prefix.strip()] = [
+                leaves.update(_subcommands(sub, f"{prefix}{name} "))
+    return leaves or {prefix.strip(): parser}
+
+
+def _flag_table(parser: argparse.ArgumentParser) -> dict:
+    """{subcommand: [(options, dest, default, choices, required, nargs)]}."""
+    return {
+        name: [
             (
                 " ".join(a.option_strings),
                 a.dest,
@@ -203,10 +210,11 @@ def _flag_table(parser: argparse.ArgumentParser, prefix: str = "") -> dict:
                 a.required,
                 a.nargs,
             )
-            for a in parser._actions
+            for a in sub._actions
             if not isinstance(a, argparse._HelpAction)
         ]
-    return table
+        for name, sub in _subcommands(parser).items()
+    }
 
 
 FLAG_TABLE = {
@@ -344,3 +352,39 @@ FLAG_TABLE = {
 
 def test_parser_flag_table():
     assert _flag_table(cli.build_parser()) == FLAG_TABLE
+
+
+# sha256 of each subcommand's `--help` at a fixed width of 100 columns.
+# argparse's layout can differ between Python releases; these are the
+# digests under CPython 3.11.
+HELP_SHA256 = {
+    "backdoor-check": "a6357c274003473d294a5cfbf110638d3254357c09ec52e81e325c5d721aeddb",
+    "bandit sim": "d63c98bb0a03f2c232980926e7dd4198ade1968d90caec79ba67cf93904559e1",
+    "debias": "0aada0f6f3b93e99d39a400dfa5ff60c4603438388f39ccce7d1b7bfd0492d75",
+    "discover ges": "172579b51a14c2017284ae98296693daf77fc009492cf01fa79f39d390bd5340",
+    "discover pc": "a6589209c20a592a15d7554d704252e1015f93a52b75ff7b5c1deb322825dbc3",
+    "dsep": "15ad4242a982b396857c5edab058282301847609668706b19f0ed417b2a3f48f",
+    "estimate ace": "34e68a0972978c62b604ce57260b712f24af96700c46e902f257916878c91443",
+    "estimate do": "2e114a9a13e44d7f9ee4cc40be779e8e9cc87afb7ab20d033133a4710dbbf415",
+    "estimate simpson": "f5082761f0607cdab490617f8979c2d95bd499b0df97b24bd34612380bd09659",
+    "fixtures": "e14f05e72024ae0a3eea0c2f1312fb44d6b505761d42ca44a6332c54fe757088",
+    "identify": "f683a1b104658f4e6f80656dc794a28332c67bbf4a6c2398b5fb982c08feec1a",
+    "missing classify": "8a158a2a64e48d089aa2ae554ed28cf7c68ffbda2e1edf93ee7aff49b5a081bc",
+    "missing mask": "bbe9287472496a3cf6c6f06caa6b509b2404fede009167c80049cef9dbbf1ac3",
+    "missing recover": "353d31bc1d0ac75a4f173add6295739d1190276210b0c87590599f6b8adde23a",
+    "missing testable": "32d453d35f8a74e8dd80f57b3cde9610f383ddc72d72f9bf729644e8bf49b0eb",
+    "scm query": "ff90c89f93f078c44935cb32743f8a7faf5fb98bfa42aeb3d4582eb7adeb36a7",
+    "scm sample": "6ae16dc6191958f12e066edcebf1cc50713a203116e3203519e08cf5750e21d1",
+    "selection-check": "1c9c55af3a7ff8bcc889431fb8379e3eb3e7a0e5e55ec64a40ea0a20fabccc59",
+    "transport": "d91659d567a92509c27f4bc202108a57bf4c33ba4ed59aa96e3f1505db3468c7",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned under CPython 3.11")
+def test_help_text_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    helps = {
+        name: hashlib.sha256(sub.format_help().encode()).hexdigest()
+        for name, sub in _subcommands(cli.build_parser()).items()
+    }
+    assert helps == HELP_SHA256

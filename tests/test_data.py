@@ -132,6 +132,8 @@ def test_prob_table_validation():
         ProbTable(("x",), {("0", "1"): 1.0})
     with pytest.raises(SchemaMismatch):
         ProbTable(("x",), {("0",): -0.5, ("1",): 1.5})
+    with pytest.raises(SchemaMismatch):
+        ProbTable(("x",), {("0",): math.nan})
 
 
 def test_prob_lookup_defaults_to_zero():

@@ -30,6 +30,7 @@ from causalkit import (
     vstructures,
 )
 from causalkit import fixtures as fx
+from test_scm import cpu_bounded
 
 
 def dataset_from_counts(counts, columns):
@@ -273,6 +274,29 @@ def test_pc_asks_each_statement_once():
 
         assert pc(ci_fn=recording, variables=ds.columns) == pc(ds)
     assert len(asked) == len(set(asked)) == 90
+
+
+def test_pc_stops_once_no_adjacency_set_is_large_enough():
+    # a level larger than every adjacency set runs no test, nor does any
+    # level after it; the cap must not make PC walk through them
+    ds = fx.kidney_dataset()
+    expected = pc(ds, max_cond_size=3)
+    assert cpu_bounded(lambda: pc(ds, max_cond_size=10**12), 1.0) == expected
+
+    graph = CausalGraph(
+        ["A", "B", "C", "D", "E"], [("A", "C"), ("B", "C"), ("C", "D"), ("D", "E")]
+    )
+    oracle = dsep_ci_fn(graph)
+    runs = {}
+    for cap in (4, 10**12):
+        asked = runs[cap] = []
+
+        def recording(a, b, cond):
+            asked.append((a, b, cond))
+            return oracle(a, b, cond)
+
+        cpu_bounded(lambda: pc(ci_fn=recording, variables=list("ABCDE"), max_cond_size=cap), 1.0)
+    assert runs[4] == runs[10**12]
 
 
 def test_import_leaves_scipy_stats_unloaded():

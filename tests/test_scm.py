@@ -98,6 +98,11 @@ def test_cpt_rejects_bad_distributions():
         Cpt("X", (), ("0", "1"), {(): (-0.1, 1.1)})
     with pytest.raises(InvalidCpt):
         Cpt("X", (), ("0", "1"), {(): (0.5, 0.6)})
+    # NaN is neither negative nor far from 1 under `<` and `>`
+    with pytest.raises(InvalidCpt):
+        Cpt("X", (), ("0", "1"), {(): (float("nan"), float("nan"))})
+    with pytest.raises(InvalidCpt):
+        Cpt("X", (), ("0", "1"), {(): (float("nan"), 1.0)})
 
 
 def test_cpt_prob_and_unknown_state():
@@ -159,6 +164,8 @@ def test_latent_nodes_take_marginals_not_cpts():
         DiscreteScm(graph, {"U": coin("U"), "X": xcpt})
     with pytest.raises(InvalidCpt):
         DiscreteScm(graph, {"X": xcpt})  # no distribution for U
+    with pytest.raises(InvalidCpt):
+        DiscreteScm(graph, {"X": xcpt}, latent_dists={"U": {"0": float("nan"), "1": 0.5}})
     scm = DiscreteScm(graph, {"X": xcpt}, latent_dists={"U": {"0": 0.3, "1": 0.7}})
     assert scm.probability({"X": "1"}) == pytest.approx(0.7)
 
@@ -394,12 +401,12 @@ def cpu_bounded(fn, budget):
     try:
         out = fn()
     except _OverBudget:
-        pytest.fail(f"query used more than {budget} s of CPU time")
+        pytest.fail(f"call used more than {budget} s of CPU time")
     finally:
         signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
     spent = time.process_time() - start
-    assert spent < budget, f"query took {spent:.3f} s of CPU time"
+    assert spent < budget, f"call took {spent:.3f} s of CPU time"
     return out
 
 

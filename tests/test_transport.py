@@ -163,6 +163,8 @@ def test_transport_validation():
         transport_estimate(
             StratumEffects("s", {"a": 0.5, "b": 0.1}, {"a": 1.5, "b": -0.5})
         )
+    with pytest.raises(WeightsNotNormalized):
+        transport_estimate(StratumEffects("s", {"a": 0.5}, {"a": float("nan")}))
 
 
 def test_stratum_effects_json_roundtrip():
