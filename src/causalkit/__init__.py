@@ -103,12 +103,10 @@ from .graph import (
     Node,
     NodeKind,
     Path,
-    get_max_nodes,
     graph_from_dict,
     graph_from_json,
     graph_to_dict,
     graph_to_json,
-    set_max_nodes,
 )
 from .missing import (
     NOT_RECOVERABLE,

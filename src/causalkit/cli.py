@@ -12,8 +12,10 @@ require `--seed`. Each subcommand declares its input files (`_command`);
 Output files (`--save`, `fixtures --dest`) go through `_write`. Exit
 codes: 0 on success, 1 when the computation raises a domain error, 2 for
 usage problems and for a file that cannot be read, does not parse, or
-cannot be written. The environment variable CAUSALKIT_MAX_NODES overrides
-the path-enumeration node cap, which only `selection-check` reaches.
+cannot be written, and for a request too large for memory (printed as
+`error: out of memory: ...`). `selection-check`, the one subcommand that
+lists paths, exits 1 with GraphTooLarge once the listing runs past its
+fixed budget of search steps.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -37,7 +38,7 @@ from .estimation import (
     compute_ace,
     detect_simpson_reversal,
 )
-from .graph import graph_from_json, graph_to_dict, set_max_nodes
+from .graph import graph_from_json, graph_to_dict
 from .missing import (
     NOT_RECOVERABLE,
     apply_missingness,
@@ -615,14 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    cap = os.environ.get("CAUSALKIT_MAX_NODES")
-    if cap is not None:
-        try:
-            set_max_nodes(int(cap))
-        except ValueError as exc:
-            print(f"error: bad CAUSALKIT_MAX_NODES: {exc}", file=sys.stderr)
-            return 2
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -634,6 +627,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CausalKitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
     if args.out == "json":
         print(json.dumps(payload, indent=2))

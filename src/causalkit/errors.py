@@ -53,12 +53,13 @@ class InvalidStructure(GraphError):
 
 
 class GraphTooLarge(GraphError):
-    def __init__(self, size: int, limit: int):
-        self.size = size
-        self.limit = limit
+    """Path enumeration ran past its fixed budget of search steps."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
         super().__init__(
-            f"graph has {size} nodes; path enumeration is capped at {limit} "
-            "(raise the limit explicitly if you accept the blowup)"
+            f"too many paths to list: path enumeration stops after {budget} "
+            "search steps"
         )
 
 

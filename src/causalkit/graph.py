@@ -15,9 +15,9 @@ the backdoor criterion, decided through it) stays usable on graphs where
 enumerating paths would not be.
 
 Path enumeration (`undirected_paths`, `backdoor_paths`) is exponential in
-the worst case and is therefore capped, by default at 32 nodes.
-`set_max_nodes` raises the cap process-wide; the CLI wires it to the
-CAUSALKIT_MAX_NODES environment variable.
+the worst case, and its cost follows the steps of the search rather than the
+node count. It therefore stops with GraphTooLarge after a fixed budget of
+`PATH_STEP_BUDGET` steps, which bounds its time and memory on any graph.
 """
 
 from __future__ import annotations
@@ -44,20 +44,10 @@ from .errors import (
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-DEFAULT_MAX_NODES = 32
-_max_nodes = DEFAULT_MAX_NODES
-
-
-def set_max_nodes(limit: int) -> None:
-    """Raise or lower the process-wide path-enumeration cap."""
-    global _max_nodes
-    if limit < 1:
-        raise ValueError("node cap must be positive")
-    _max_nodes = limit
-
-
-def get_max_nodes() -> int:
-    return _max_nodes
+# Moves onto a node that path enumeration may make before it gives up, so its
+# time and memory are bounded on any graph. A complete 10-node DAG (219,201
+# steps between two of its nodes) still fits.
+PATH_STEP_BUDGET = 1 << 18
 
 
 def reach(start: str, step: Mapping[str, Iterable[str]]) -> frozenset[str]:
@@ -248,21 +238,19 @@ class CausalGraph:
 
     # -- path enumeration --------------------------------------------------
 
-    def _check_cap(self) -> None:
-        if len(self.nodes) > _max_nodes:
-            raise GraphTooLarge(len(self.nodes), _max_nodes)
-
     def undirected_paths(self, x: str, y: str) -> list[Path]:
         """All simple paths between x and y ignoring edge direction.
 
-        Paths are returned sorted by their node sequence so output order is
-        reproducible. Raises GraphTooLarge beyond the configured node cap.
+        Paths come out sorted by their node sequence, so output order is
+        reproducible: the search walks name-sorted neighbours, and no path
+        is a prefix of another because each ends at y. Raises GraphTooLarge
+        once the search has moved onto a node more than PATH_STEP_BUDGET
+        times.
         """
         self._require(x)
         self._require(y)
         if x == y:
             raise OverlappingSets({x})
-        self._check_cap()
 
         neighbors: dict[str, list[tuple[str, str]]] = {
             n.name: [] for n in self.nodes
@@ -277,24 +265,28 @@ class CausalGraph:
         stack_nodes = [x]
         stack_arrows: list[str] = []
         on_path = {x}
-
-        def visit(cur: str) -> None:
-            if cur == y:
-                found.append(Path(tuple(stack_nodes), tuple(stack_arrows)))
-                return
-            for nxt, arrow in neighbors[cur]:
-                if nxt in on_path:
-                    continue
-                stack_nodes.append(nxt)
-                stack_arrows.append(arrow)
-                on_path.add(nxt)
-                visit(nxt)
-                on_path.discard(nxt)
-                stack_nodes.pop()
-                stack_arrows.pop()
-
-        visit(x)
-        found.sort(key=lambda p: p.nodes)
+        # untried neighbours of each node on the path, deepest last
+        pending = [iter(neighbors[x])]
+        steps = 0
+        while pending:
+            for nxt, arrow in pending[-1]:
+                if nxt not in on_path:
+                    break
+            else:
+                pending.pop()
+                on_path.discard(stack_nodes.pop())
+                del stack_arrows[-1:]  # x, the first node, has no arrow
+                continue
+            steps += 1
+            if steps > PATH_STEP_BUDGET:
+                raise GraphTooLarge(PATH_STEP_BUDGET)
+            if nxt == y:
+                found.append(Path((*stack_nodes, y), (*stack_arrows, arrow)))
+                continue
+            stack_nodes.append(nxt)
+            stack_arrows.append(arrow)
+            on_path.add(nxt)
+            pending.append(iter(neighbors[nxt]))
         return found
 
     def is_path_blocked(self, path: Path, z: Iterable[str]) -> bool:

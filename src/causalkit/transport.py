@@ -49,6 +49,16 @@ class SelectionReport:
 
 
 def detect_selection_bias(graph: CausalGraph, x: str, y: str) -> SelectionReport:
+    """Every backdoor path from x to y with a selection node inside it,
+    judged once with nothing conditioned on and once with every selection
+    node conditioned on.
+
+    Selection nodes have no children, so each one sits on a reported path
+    as a collider, and `blocked_unconditioned` is always true. The report is
+    `biased` when some path is open under selection. Raises GraphTooLarge
+    when listing the backdoor paths runs past the fixed step budget
+    (`graph.PATH_STEP_BUDGET`).
+    """
     selection = graph.nodes_of_kind(NodeKind.SELECTION)
     assessments = []
     for path in graph.backdoor_paths(x, y):

@@ -9,12 +9,14 @@ import json
 import pytest
 
 from causalkit import (
+    CausalGraph,
     DiscreteDataset,
     Pattern,
     ProbTable,
     apply_missingness,
     backdoor_adjust,
     cli,
+    graph_to_json,
     greedy_score_search,
     make_policy,
     pc,
@@ -22,7 +24,7 @@ from causalkit import (
     simulate,
 )
 from causalkit import fixtures as fx
-from causalkit.graph import get_max_nodes, set_max_nodes
+from test_scm import cpu_bounded
 
 
 @pytest.fixture(scope="session")
@@ -1222,69 +1224,32 @@ def test_csv_inputs_go_through_the_class_attribute(fixdir, monkeypatch, capsys):
     assert read == [path.read_text()]
 
 
-# -- environment-variable node cap ---------------------------------------------------
+# -- requests past a fixed budget ------------------------------------------------------
 
 
-def test_env_node_cap_applies(fixdir, monkeypatch, capsys):
-    # the cap guards path enumeration, so a too-small value turns
-    # selection-check into a domain error
-    old = get_max_nodes()
-    monkeypatch.setenv("CAUSALKIT_MAX_NODES", "3")
-    try:
-        rc, _, err = run(
-            capsys,
-            [
-                "selection-check",
-                "--graph",
-                str(fixdir / "covid_graph.json"),
-                "--x",
-                "test",
-                "--y",
-                "antibody",
-            ],
-        )
-        assert rc == 1
-        assert "GraphTooLarge" in err
-    finally:
-        set_max_nodes(old)
+def test_selection_check_refuses_a_complete_32_node_dag(tmp_path, capsys):
+    names = [f"N{i:02d}" for i in range(32)]
+    graph = CausalGraph(
+        names[:-1] + [(names[-1], "selection")],
+        [(a, b) for i, a in enumerate(names) for b in names[i + 1:]],
+    )
+    path = tmp_path / "complete_graph.json"
+    path.write_text(graph_to_json(graph))
+    argv = ["selection-check", "--graph", str(path), "--x", "N01", "--y", "N02"]
+    rc, out, err = cpu_bounded(lambda: run(capsys, argv), 5)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: GraphTooLarge: ")
 
 
-def test_env_node_cap_generous_value_passes(fixdir, monkeypatch, capsys):
-    old = get_max_nodes()
-    monkeypatch.setenv("CAUSALKIT_MAX_NODES", "10")
-    try:
-        rc, out, _ = run(
-            capsys,
-            [
-                "dsep",
-                "--graph",
-                str(fixdir / "collider_chain_graph.json"),
-                "--x",
-                "X",
-                "--y",
-                "Y",
-            ],
-        )
-        assert rc == 0
-        assert out == "d-separated: true\n"
-        assert get_max_nodes() == 10
-    finally:
-        set_max_nodes(old)
-
-
-def test_env_node_cap_invalid_value(fixdir, monkeypatch, capsys):
-    monkeypatch.setenv("CAUSALKIT_MAX_NODES", "banana")
-    rc, _, err = run(
+def test_out_of_memory_is_exit_2(fixdir, capsys):
+    # 10^15 rows of codes need petabytes, more than any address space
+    rc, out, err = run(
         capsys,
-        [
-            "dsep",
-            "--graph",
-            str(fixdir / "kidney_graph.json"),
-            "--x",
-            "treatment",
-            "--y",
-            "recovery",
-        ],
+        ["scm", "sample", "--model", str(fixdir / "xy_scm.json"),
+         "--n", str(10**15), "--seed", "0"],
     )
     assert rc == 2
-    assert "bad CAUSALKIT_MAX_NODES" in err
+    assert out == ""
+    assert err.startswith("error: out of memory: ")
+    assert "Traceback" not in err

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from causalkit import apply_missingness, cli
+from causalkit import CausalGraph, apply_missingness, cli, graph_to_json
 from causalkit import fixtures as fx
 from test_cli_golden import _subcommands
 from test_scm import cpu_bounded
@@ -36,9 +36,16 @@ SCMS = (
     fx.xy_scm(),
     fx.collider_chain_scm(),
 )
+# every pair of nodes joined, the last a selection sink: listing the paths
+# between two of its nodes runs past the step budget
+COMPLETE = CausalGraph(
+    [f"N{i:02d}" for i in range(11)] + [("N11", "selection")],
+    [(f"N{i:02d}", f"N{j:02d}") for i in range(12) for j in range(i + 1, 12)],
+)
 GRAPHS = [scm.graph for scm in SCMS] + [
     fx.smoking_graph(),
     fx.mgraph_two_sided().graph,
+    COMPLETE,
 ]
 NAMES = sorted({n for g in GRAPHS for n in g.node_names()}) + ["Nope", "", "X,Y"]
 STATES = sorted(
@@ -79,6 +86,7 @@ def files(tmp_path_factory):
     }
     xy = fx.xy_scm().sample(300, seed=3)
     texts["xy.csv"] = xy.to_csv()
+    texts["complete_graph.json"] = graph_to_json(COMPLETE)
     texts["xy_mar.csv"] = apply_missingness(
         xy, fx.mgraph_mar(), fx.mask_cpts(fx.mgraph_mar()), 7
     ).to_csv()

@@ -19,17 +19,17 @@ from causalkit import (
     NotSupported,
     OverlappingSets,
     UnknownNode,
-    get_max_nodes,
     graph_from_dict,
     graph_from_json,
     graph_to_dict,
     graph_to_json,
-    set_max_nodes,
 )
 from causalkit import fixtures as fx
+from causalkit.graph import PATH_STEP_BUDGET
 
 import dsep_oracle
 from dsep_oracle import d_separated as oracle_d_separated
+from test_scm import cpu_bounded
 
 
 def obs(*names):
@@ -151,18 +151,53 @@ def test_path_blocking_rules():
     assert not COLLIDER_DESC.is_path_blocked(desc_path, {"D"})
 
 
-def test_path_enumeration_respects_node_cap():
-    names = [f"n{i:02d}" for i in range(get_max_nodes() + 1)]
-    edges = [(names[i], names[i + 1]) for i in range(len(names) - 1)]
-    big = g(names, edges)
-    with pytest.raises(GraphTooLarge):
-        big.undirected_paths(names[0], names[-1])
-    old = get_max_nodes()
-    try:
-        set_max_nodes(len(names))
-        assert len(big.undirected_paths(names[0], names[-1])) == 1
-    finally:
-        set_max_nodes(old)
+def test_path_enumeration_lists_a_long_chain():
+    names = [f"n{i:04d}" for i in range(2000)]
+    chain = g(names, list(zip(names, names[1:])))
+    (path,) = chain.undirected_paths(names[0], names[-1])
+    assert path.nodes == tuple(names)
+    assert path.arrows == ("->",) * 1999
+
+
+def test_path_enumeration_refuses_a_complete_32_node_dag():
+    names = [f"N{i:02d}" for i in range(32)]
+    complete = g(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1:]])
+
+    def refused():
+        with pytest.raises(GraphTooLarge, match=f"after {PATH_STEP_BUDGET} search steps"):
+            complete.undirected_paths("N01", "N02")
+
+    cpu_bounded(refused, 5)
+
+
+def _random_dag(rng, n, density):
+    """n nodes in a causal order hidden from their names, each later node
+    joined to each earlier one with probability `density`."""
+    order = rng.sample([f"v{i:02d}" for i in range(n)], n)
+    edges = [
+        (a, b) for i, a in enumerate(order) for b in order[i + 1:] if rng.random() < density
+    ]
+    return order, edges
+
+
+def test_paths_come_out_in_node_sequence_order():
+    """The library's paths, in the order it lists them, against the
+    oracle's, sorted: dense DAGs on up to 8 nodes and sparse ones on 33 to
+    60 nodes."""
+    rng = random.Random(5)
+    shapes = [(rng.randint(2, 8), 0.6) for _ in range(150)]
+    shapes += [(n, 2 / n) for n in (rng.randint(33, 60) for _ in range(30))]
+    listed = 0
+    for n, density in shapes:
+        names, edges = _random_dag(rng, n, density)
+        graph = g(names, edges)
+        x, y = rng.sample(names, 2)
+        got = [p.nodes for p in graph.undirected_paths(x, y)]
+        assert got == sorted(
+            tuple(p) for p in dsep_oracle.undirected_paths(names, edges, x, y)
+        ), (edges, x, y)
+        listed += len(got) if n > 32 else 0
+    assert listed > 100
 
 
 # -- d-separation ---------------------------------------------------------------
@@ -330,15 +365,10 @@ def test_backdoor_check_is_fast_on_a_dense_30_node_dag():
     x, y = names[15], names[-1]
     parents = set(graph.parents(x))
     assert any(graph.has_edge(p, y) for p in parents)  # x <- p -> y is open
-    old = get_max_nodes()
-    set_max_nodes(2)  # no path is enumerated, so the cap does not apply
-    try:
-        start = time.process_time()
-        assert graph.satisfies_backdoor_criterion(x, y, parents)
-        assert not graph.satisfies_backdoor_criterion(x, y)
-        elapsed = time.process_time() - start
-    finally:
-        set_max_nodes(old)
+    start = time.process_time()
+    assert graph.satisfies_backdoor_criterion(x, y, parents)
+    assert not graph.satisfies_backdoor_criterion(x, y)
+    elapsed = time.process_time() - start
     assert elapsed < 0.1, f"{elapsed:.3f} s of CPU time"
 
 
