@@ -8,6 +8,13 @@ None (MISSING), is built on first use. CSV files carry a header row, and
 empty or "NA" cells read back as missing. Column state spaces are either
 declared explicitly (e.g. by the sampler, so states unseen in a finite
 sample stay known) or inferred as the sorted distinct observed labels.
+
+A CSV text is read by distinct lines: `csv.reader` runs once per distinct
+line, the few distinct records are checked and encoded, and each column's
+codes are gathered from theirs by every row's line id. A text holding a
+quote or a carriage return, where a record may span lines, is read with
+`csv.reader` over the whole text instead, one id per record, and then
+encoded and gathered the same way.
 """
 
 from __future__ import annotations
@@ -40,6 +47,23 @@ def _by_column(rows: list, width: int) -> list[list]:
     # itemgetter per column: zip(*rows) allocates an iterator per row, and
     # the garbage collector's passes over those cost more than the parse
     return [list(map(itemgetter(j), rows)) for j in range(width)]
+
+
+def _tokenise(text: str) -> tuple[list, list[list], np.ndarray]:
+    """(header, records, ids) of a CSV text: the header row's cells, the
+    distinct non-blank body records in order of first occurrence, and each
+    body row's index into `records`. A quote or a carriage return can make
+    a record span lines, so a text holding one is read whole, one entry per
+    record."""
+    if '"' in text or "\r" in text:
+        header, *records = csv.reader(io.StringIO(text))
+        records = list(filter(None, records))
+        return header, records, np.arange(len(records))
+    header, *lines = text.split("\n")
+    lines = list(filter(None, lines))
+    index = {line: i for i, line in enumerate(dict.fromkeys(lines))}
+    ids = np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))
+    return next(csv.reader([header])), list(csv.reader(index)), ids
 
 
 def _encode(columns, cells, states, missing) -> tuple[dict, Mapping]:
@@ -248,21 +272,26 @@ class DiscreteDataset:
     def from_csv(
         cls, text: str, states: Mapping[str, Sequence[str]] | None = None
     ) -> "DiscreteDataset":
-        reader = csv.reader(io.StringIO(text))
+        """The dataset a CSV text holds; "" and "NA" cells read as missing.
+        Distinct records are checked in order of first occurrence, so an
+        error names the first bad row."""
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatch("empty CSV: no header row") from None
-        rows = [raw for raw in reader if raw]
-        for raw in rows:
+            header, records, ids = _tokenise(text)
+        except csv.Error as exc:
+            raise SchemaMismatch(f"unreadable CSV: {exc}") from None
+        if not header:
+            raise SchemaMismatch("empty CSV: no header row")
+        if len(set(header)) != len(header):
+            raise SchemaMismatch("duplicate column names")
+        for raw in records:
             if len(raw) != len(header):
                 raise SchemaMismatch(
                     f"row of width {len(raw)} under a {len(header)}-column header"
                 )
-        cells = _by_column(rows, len(header))
-        return cls._from_codes(
-            header, *_encode(header, cells, states, ("", "NA")), len(rows)
-        )
+        cells = _by_column(records, len(header))
+        codes, states = _encode(header, cells, states, ("", "NA"))
+        gathered = {c: col[ids] for c, col in codes.items()}
+        return cls._from_codes(header, gathered, states, len(ids))
 
     @classmethod
     def load_csv(

@@ -4,6 +4,7 @@ Every test drives `cli.main` in-process with capsys; handlers are compared
 against direct library calls rather than re-derived arithmetic.
 """
 
+import csv
 import json
 
 import pytest
@@ -840,6 +841,18 @@ def test_ragged_csv_is_exit_2(tmp_path, capsys):
     )
     assert rc == 2
     assert "not a valid dataset" in err
+
+
+def test_oversized_csv_field_is_exit_2(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    big.write_text("X,Y\n" + "1" * (csv.field_size_limit() + 1) + ",0\n")
+    rc, out, err = run(
+        capsys, ["estimate", "do", "--data", str(big), "--x", "X=1", "--y", "Y=0"]
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {big} is not a valid dataset: ")
+    assert "Traceback" not in err
 
 
 def test_invalid_effects_file_is_exit_2(tmp_path, capsys):

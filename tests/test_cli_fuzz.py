@@ -2,8 +2,9 @@
 
 Each example picks a subcommand of `cli.build_parser()` and walks the flags
 it declares, filling each with a drawn value: an exported fixture file of
-the right or the wrong kind, a missing, unreadable or garbage file, an
-unwritable output path, node names and states the fixtures do or do not
+the right or the wrong kind, a missing, unreadable or garbage file, a CSV
+with quoted cells, a duplicated header name or a field past the csv
+module's size limit, an unwritable output path, node names and states the fixtures do or do not
 have, and numbers in or out of range. Required flags are sometimes left
 out. Every run goes through `cli.main` in-process and must return, or exit,
 with 0, 1 or 2, print no traceback, and stay within a CPU-time bound.
@@ -15,6 +16,7 @@ never an input.
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 
@@ -90,6 +92,12 @@ def files(tmp_path_factory):
     texts["xy_mar.csv"] = apply_missingness(
         xy, fx.mgraph_mar(), fx.mask_cpts(fx.mgraph_mar()), 7
     ).to_csv()
+    # quoted cells send the load down the whole-text route
+    texts["xy_quoted.csv"] = "".join(
+        ",".join(f'"{cell}"' for cell in line.split(",")) + "\n"
+        for line in texts["xy.csv"].splitlines()
+    )
+    texts["duplicate_header.csv"] = "X,X\n0,1\n"
     texts["broken.json"] = '{"nodes": ['
     texts["empty.txt"] = ""
     nan_model = json.loads(texts["xy_scm.json"])
@@ -99,6 +107,10 @@ def files(tmp_path_factory):
     for name, text in texts.items():
         (root / name).write_text(text)
         words[str(root / name)] = sorted(_words(text))
+    # one field past the csv module's limit; its words are the header's
+    big = root / "oversized_field.csv"
+    big.write_text("X,Y\n" + "1" * (csv.field_size_limit() + 1) + ",0\n")
+    words[str(big)] = ["X", "Y"]
     (root / "latin1.json").write_bytes(b"\xff\xfe{}")
     (root / "a_directory").mkdir()
     (root / "plain").write_text("")
@@ -213,5 +225,22 @@ def _run(argv):
 def test_every_drawn_command_exits_cleanly(files, data):
     argv = data.draw(argvs(files), label="argv")
     code, err = cpu_bounded(lambda: _run(argv), 5.0)
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selection-check", "--x", "N01", "--y", "N02"],
+        ["dsep", "--x", "N01", "--y", "N02", "--given", "N03"],
+        ["backdoor-check", "--x", "N01", "--y", "N02", "--adjust", "N00"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_complete_graph_commands_exit_cleanly(files, argv):
+    # st.data() takes no @example, so the complete graph is pinned here
+    path = next(p for p in files["inputs"] if p.endswith("complete_graph.json"))
+    code, err = cpu_bounded(lambda: _run(argv + ["--graph", path]), 5.0)
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err

@@ -3,9 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csv_oracle
 from causalkit import (
     MISSING,
     DiscreteDataset,
@@ -29,6 +30,9 @@ def small_ds():
 def test_duplicate_columns_rejected():
     with pytest.raises(SchemaMismatch):
         DiscreteDataset(["x", "x"], [])
+    # named as such, before any cell is checked against the other column
+    with pytest.raises(SchemaMismatch, match="^duplicate column names$"):
+        DiscreteDataset.from_csv("X,X\n1,2\n")
 
 
 def test_ragged_row_rejected():
@@ -105,10 +109,85 @@ def test_csv_missing_spellings():
 
 
 def test_csv_empty_and_ragged_errors():
-    with pytest.raises(SchemaMismatch):
-        DiscreteDataset.from_csv("")
+    # a blank first line is no header, not a 0-column one
+    for text in ("", "\n", "\n1,2\n", "\r\n"):
+        with pytest.raises(SchemaMismatch, match="^empty CSV: no header row$"):
+            DiscreteDataset.from_csv(text)
     with pytest.raises(SchemaMismatch):
         DiscreteDataset.from_csv("x,y\n1\n")
+
+
+NAMES = ["X", "Y", "Z", "NA"]
+LABELS = ["0", "1", "a", "b", "X", "NA"]
+PLAIN_CELLS = ["0", "1", "a", "X", "NA", ""]
+QUOTED_CELLS = ['"x,y"', '"p\nq"', '"1"', '""', '"NA"']
+
+
+def _mostly(yes, no):
+    """A value from `yes` nine times in ten, else one from `no`."""
+    return st.sampled_from([True] * 9 + [False]).flatmap(lambda ok: yes if ok else no)
+
+
+@st.composite
+def csv_cases(draw):
+    """(text, states) for `from_csv`. The text is a header, then rows mostly
+    as wide as it, with blank lines and copies of the header line among
+    them, and a final line end or none. Half of the texts hold no quote and
+    no carriage return; the other half have quoted cells, some holding a
+    comma or a newline, and CRLF or, rarely, lone CR line ends. The states
+    are inferred, or declared for most columns, with unseen labels, labels
+    a cell falls outside of, and now and then a label listed twice."""
+    plain = draw(st.booleans())
+    cell = st.sampled_from(PLAIN_CELLS + ([] if plain else QUOTED_CELLS))
+    names = draw(
+        _mostly(
+            st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True),
+            st.lists(st.sampled_from(NAMES), min_size=1, max_size=3),
+        )
+    )
+    header = ",".join(n if plain or draw(st.booleans()) else f'"{n}"' for n in names)
+    width = len(names)
+    row = _mostly(
+        st.lists(cell, min_size=width, max_size=width),
+        st.lists(cell, max_size=width + 1),
+    ).map(",".join)
+    body = draw(st.lists(_mostly(row, st.sampled_from([header, ""])), max_size=8))
+    end = st.just("\n")
+    if not plain:
+        end = _mostly(st.sampled_from(["\n", "\r\n"]), st.just("\r"))
+    text = header + "".join(draw(end) + line for line in body)
+    text += draw(st.sampled_from(["", draw(end)]))
+    labels = _mostly(
+        st.lists(st.sampled_from(LABELS), max_size=4, unique=True),
+        st.lists(st.sampled_from(LABELS), max_size=4),
+    )
+    keep = _mostly(st.just(True), st.just(False))
+    declared = {n: draw(labels) for n in names + ["W"] if draw(keep)}
+    return text, draw(st.sampled_from([None, declared]))
+
+
+def _outcome(read, text, states):
+    """The dataset `read` builds, as comparable values, or its error."""
+    try:
+        ds = read(text, states)
+    except Exception as exc:
+        return type(exc), str(exc)
+    codes = {c: (ds.codes[c].dtype, ds.codes[c].tolist()) for c in ds.columns}
+    return ds.columns, ds.states, len(ds), codes
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        csv_cases(),
+        st.tuples(st.text(alphabet='01aNAXY,"\r\n ', max_size=30), st.none()),
+    )
+)
+def test_from_csv_matches_the_whole_text_oracle(case):
+    text, states = case
+    assert _outcome(DiscreteDataset.from_csv, text, states) == _outcome(
+        csv_oracle.from_csv, text, states
+    )
 
 
 def test_csv_file_roundtrip(tmp_path):
