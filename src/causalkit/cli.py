@@ -15,7 +15,9 @@ usage problems and for a file that cannot be read, does not parse, or
 cannot be written, and for a request too large for memory (printed as
 `error: out of memory: ...`). `selection-check`, the one subcommand that
 lists paths, exits 1 with GraphTooLarge once the listing runs past its
-fixed budget of search steps.
+fixed budget of search steps; `scm query` exits 1 with ModelTooLarge when
+the query's elimination plan visits more table entries than its fixed
+budget.
 """
 
 from __future__ import annotations

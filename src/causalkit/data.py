@@ -52,14 +52,17 @@ def _by_column(rows: list, width: int) -> list[list]:
 def _tokenise(text: str) -> tuple[list, list[list], np.ndarray]:
     """(header, records, ids) of a CSV text: the header row's cells, the
     distinct non-blank body records in order of first occurrence, and each
-    body row's index into `records`. A quote or a carriage return can make
-    a record span lines, so a text holding one is read whole, one entry per
-    record."""
-    if '"' in text or "\r" in text:
+    body row's index into `records`. Outside quotes "\r\n" ends a line as
+    "\n" does. A quote or a lone carriage return can make a record span
+    lines, so a text holding one is read whole, one entry per record."""
+    # the one-character test first: a search for "\r\n" takes 2 ms on the
+    # 1.3 MB covid text, a search for "\r" 0.02 ms
+    lf = text.replace("\r\n", "\n") if "\r" in text and '"' not in text else text
+    if '"' in lf or "\r" in lf:
         header, *records = csv.reader(io.StringIO(text))
         records = list(filter(None, records))
         return header, records, np.arange(len(records))
-    header, *lines = text.split("\n")
+    header, *lines = lf.split("\n")
     lines = list(filter(None, lines))
     index = {line: i for i, line in enumerate(dict.fromkeys(lines))}
     ids = np.fromiter(map(index.__getitem__, lines), np.intp, len(lines))
@@ -297,7 +300,10 @@ class DiscreteDataset:
     def load_csv(
         cls, path, states: Mapping[str, Sequence[str]] | None = None
     ) -> "DiscreteDataset":
-        with open(path, newline="") as fh:
+        """The dataset the CSV file at `path` holds, read as the CLI reads
+        it: in universal-newline mode, so "\r\n" and a lone "\r" end lines
+        as "\n" does, quoted cells included."""
+        with open(path) as fh:
             return cls.from_csv(fh.read(), states)
 
 

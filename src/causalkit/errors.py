@@ -85,7 +85,16 @@ class InvalidCpt(ScmError):
 
 
 class ModelTooLarge(ScmError):
-    pass
+    """An exact query's elimination plan visits more table entries than the
+    fixed budget allows (`scm.QUERY_BUDGET`, 2^26; not configurable). The
+    CLI prints it as a domain error with exit 1."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        super().__init__(
+            f"query too large to answer exactly: its elimination plan visits "
+            f"more than {budget} table entries"
+        )
 
 
 class PartialAssignment(ScmError):

@@ -4,8 +4,9 @@ Each example picks a subcommand of `cli.build_parser()` and walks the flags
 it declares, filling each with a drawn value: an exported fixture file of
 the right or the wrong kind, a missing, unreadable or garbage file, a CSV
 with quoted cells, a duplicated header name or a field past the csv
-module's size limit, an unwritable output path, node names and states the fixtures do or do not
-have, and numbers in or out of range. Required flags are sometimes left
+module's size limit, a model past the query budget or with one CPT row for
+5^9 parent states, an unwritable output path, node names and states the
+fixtures do or do not have, and numbers in or out of range. Required flags are sometimes left
 out. Every run goes through `cli.main` in-process and must return, or exit,
 with 0, 1 or 2, print no traceback, and stay within a CPU-time bound.
 
@@ -24,10 +25,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from causalkit import CausalGraph, apply_missingness, cli, graph_to_json
+from causalkit import CausalGraph, apply_missingness, cli, graph_to_json, scm_to_json
 from causalkit import fixtures as fx
 from test_cli_golden import _subcommands
-from test_scm import cpu_bounded
+from test_scm import cpu_bounded, cpu_bounded_child, dense_scm, nine_parent_model_json
 
 LEAVES = _subcommands(cli.build_parser())
 SCMS = (
@@ -103,10 +104,16 @@ def files(tmp_path_factory):
     nan_model = json.loads(texts["xy_scm.json"])
     nan_model["cpts"]["X"]["rows"][""] = [float("nan"), float("nan")]
     texts["nan_model.json"] = json.dumps(nan_model)
+    # past the query budget, and a CPT of one row for 5^9 parent states
+    dense = dense_scm()
+    texts["dense_scm.json"] = scm_to_json(dense)
+    texts["nine_parent_scm.json"] = nine_parent_model_json()
     words = {}
     for name, text in texts.items():
         (root / name).write_text(text)
         words[str(root / name)] = sorted(_words(text))
+    # its nodes and states, not its 10,156 row keys
+    words[str(root / "dense_scm.json")] = [*dense.graph.node_names(), *"01234"]
     # one field past the csv module's limit; its words are the header's
     big = root / "oversized_field.csv"
     big.write_text("X,Y\n" + "1" * (csv.field_size_limit() + 1) + ",0\n")
@@ -244,3 +251,30 @@ def test_complete_graph_commands_exit_cleanly(files, argv):
     code, err = cpu_bounded(lambda: _run(argv + ["--graph", path]), 5.0)
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["scm", "query", "--model", "dense_scm.json", "--target", "D19=1"],
+         1, "error: ModelTooLarge: "),
+        (["scm", "query", "--model", "nine_parent_scm.json", "--target", "Y=1"],
+         2, "is not a valid model: Y: 1 CPT rows"),
+        (["scm", "sample", "--model", "nine_parent_scm.json", "--n", "10", "--seed", "0"],
+         2, "is not a valid model: Y: 1 CPT rows"),
+    ],
+    ids=["dense-query", "nine-parent-query", "nine-parent-sample"],
+)
+def test_model_refusals_exit_cleanly(files, argv, code, message):
+    # in a child process: a loop inside one numpy call ignores cpu_bounded
+    paths = {p.rsplit("/", 1)[1]: p for p in files["inputs"]}
+    argv = [paths.get(word, word) for word in argv]
+    out, err = cpu_bounded_child(f"""
+        try:
+            code = causalkit.cli.main({argv!r})
+        except SystemExit as exc:
+            code = exc.code
+        print(code)
+    """, 5.0)
+    assert out == [str(code)], err
+    assert message in err and "Traceback" not in err

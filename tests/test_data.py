@@ -1,5 +1,6 @@
 """Dataset container, CSV interchange, and probability tables."""
 
+import argparse
 import math
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
+from causalkit import cli
+from causalkit import fixtures as fx
 from causalkit import (
     MISSING,
     DiscreteDataset,
@@ -195,6 +198,18 @@ def test_csv_file_roundtrip(tmp_path):
     ds = small_ds()
     ds.save_csv(path)
     assert DiscreteDataset.load_csv(path) == ds
+
+
+def test_line_ends_read_alike_in_load_csv_and_the_cli(tmp_path):
+    """The covid table with "\n", "\r\n" and lone "\r" line ends loads to
+    one dataset through load_csv and through the CLI's file loader."""
+    text = fx.covid_study_dataset(fx.STUDY_SAMPLE_SIZE, fx.STUDY_SEED).to_csv()
+    want = DiscreteDataset.from_csv(text)
+    for name, end in (("lf", "\n"), ("crlf", "\r\n"), ("cr", "\r")):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.replace("\n", end).encode())
+        assert DiscreteDataset.load_csv(path) == want, name
+        assert cli._load(argparse.Namespace(data=str(path)), cli._DATA) == want, name
 
 
 def test_missing_constant_is_none():

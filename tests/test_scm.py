@@ -2,9 +2,15 @@
 
 import itertools
 import json
+import math
+import os
 import random
 import signal
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +34,9 @@ from causalkit import (
     scm_to_dict,
     scm_to_json,
 )
+import causalkit
 from causalkit import fixtures as fx
-from causalkit.scm import MAX_NODES, MAX_STATES
+from causalkit.scm import QUERY_BUDGET, _elimination_plan
 
 
 def enumerate_probability(scm, event):
@@ -179,19 +186,26 @@ def test_latent_nodes_must_be_roots():
         )
 
 
-def test_node_count_cap():
-    names = [f"n{i:02d}" for i in range(21)]
-    graph = CausalGraph(names, [])
-    with pytest.raises(ModelTooLarge):
-        DiscreteScm(graph, {n: coin(n) for n in names})
+def test_coverage_check_takes_time_linear_in_the_rows(tmp_path):
+    """Nine 5-state parents and one CPT row: refused without walking the
+    5^9 parent combinations (the old check built them all, 10 s and 0.5 GB)."""
+    path = tmp_path / "nine_parent_scm.json"
+    path.write_text(nine_parent_model_json())
+    out, _ = cpu_bounded_child(f"""
+        from causalkit import InvalidCpt, scm_from_json
+        try:
+            scm_from_json(open({str(path)!r}).read())
+        except InvalidCpt as exc:
+            print(exc)
+    """, 0.1)
+    assert out == ["Y: 1 CPT rows do not cover the 1953125 combinations of parent states"]
 
 
-def test_state_count_cap():
-    graph = CausalGraph(["X"], [])
-    states = tuple(str(i) for i in range(6))
-    wide = Cpt("X", (), states, {(): (1 / 6,) * 6})
-    with pytest.raises(ModelTooLarge):
-        DiscreteScm(graph, {"X": wide})
+def test_model_rejects_rows_outside_the_parent_space():
+    graph = CausalGraph(["X", "Y"], [("X", "Y")])
+    stray = Cpt("Y", ("X",), ("0", "1"), {("0",): (0.5, 0.5), ("2",): (0.5, 0.5)})
+    with pytest.raises(InvalidCpt, match=r"row \('2',\) is outside"):
+        DiscreteScm(graph, {"X": coin("X"), "Y": stray})
 
 
 # -- exact inference -----------------------------------------------------------
@@ -410,9 +424,37 @@ def cpu_bounded(fn, budget):
     return out
 
 
-def test_chain_query_at_the_node_cap_is_fast():
+def cpu_bounded_child(code, budget):
+    """(stdout lines, stderr) of the Python `code` run in a child process,
+    failing the test once `code` has spent `budget` seconds of CPU time.
+    The child caps its own CPU time (RLIMIT_CPU, whole seconds, counted
+    after its imports), so the kernel also stops a loop inside one C call,
+    which cpu_bounded's signal cannot interrupt."""
+    script = textwrap.dedent(f"""
+        import math, resource, time
+        import causalkit.cli
+        start = time.process_time()
+        hard = resource.getrlimit(resource.RLIMIT_CPU)[1]
+        resource.setrlimit(resource.RLIMIT_CPU, (math.ceil(start + {budget}), hard))
+    """) + textwrap.dedent(code) + "\nprint(time.process_time() - start)\n"
+    src = str(Path(causalkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    if proc.returncode == -signal.SIGXCPU:
+        pytest.fail(f"call used more than {budget} s of CPU time")
+    assert proc.returncode == 0, proc.stderr
+    *out, spent = proc.stdout.splitlines()
+    assert float(spent) < budget, f"call took {float(spent):.3f} s of CPU time"
+    return out, proc.stderr
+
+
+def chain_scm(n):
+    """A binary chain C0 -> ... -> C(n-1) with random transition tables
+    (random.Random(3)), and those tables as (state -> row) dicts."""
     rng = random.Random(3)
-    names = [f"C{i}" for i in range(MAX_NODES)]
+    names = [f"C{i}" for i in range(n)]
     cpts = {"C0": Cpt("C0", (), ("0", "1"), {(): (0.3, 0.7)})}
     trans = []
     for child, parent in zip(names[1:], names):
@@ -420,15 +462,151 @@ def test_chain_query_at_the_node_cap_is_fast():
         trans.append(rows)
         cpts[child] = Cpt(child, (parent,), ("0", "1"),
                           {(s,): row for s, row in rows.items()})
-    scm = DiscreteScm(CausalGraph(names, list(zip(names, names[1:]))), cpts)
+    return DiscreteScm(CausalGraph(names, list(zip(names, names[1:]))), cpts), trans
 
-    got = cpu_bounded(
-        lambda: scm.query_conditional({names[-1]: "1"}, {"C2": "0"}), 0.1
-    )
-    vec = (1.0, 0.0)  # C2 = 0, pushed through the later transition tables
-    for rows in trans[2:]:
+
+def pushed(trans, start):
+    """The distribution of a chain's last node, given start = C(k) = 0,
+    pushed through the transition tables after C(k)."""
+    vec = (1.0, 0.0)
+    for rows in trans[start:]:
         vec = tuple(sum(vec[i] * rows["01"[i]][j] for i in (0, 1)) for j in (0, 1))
-    assert got == pytest.approx(vec[1], rel=1e-12)
+    return vec
+
+
+def test_chain_query_at_the_node_cap_is_fast():
+    scm, trans = chain_scm(20)
+    got = cpu_bounded(
+        lambda: scm.query_conditional({"C19": "1"}, {"C2": "0"}), 0.1
+    )
+    assert got == pytest.approx(pushed(trans, 2)[1], rel=1e-12)
+
+
+def test_forty_node_chain_constructs_samples_and_queries():
+    # 20 nodes was a hard cap once; a chain's queries stay cheap at any length
+    scm, trans = chain_scm(40)
+    ds = scm.sample(50, seed=1)
+    assert sorted(ds.columns) == sorted(f"C{i}" for i in range(40)) and len(ds) == 50
+    got = cpu_bounded(
+        lambda: scm.query_conditional({"C39": "1"}, {"C2": "0"}), 0.1
+    )
+    assert got == pytest.approx(pushed(trans, 2)[1], rel=1e-12)
+
+
+def test_six_state_model_constructs_samples_and_queries():
+    # 5 states was a hard cap once
+    states = tuple("abcdef")
+    graph = CausalGraph(["X", "Y"], [("X", "Y")])
+    scm = DiscreteScm(graph, {
+        "X": Cpt("X", (), states, {(): (0.1, 0.2, 0.3, 0.2, 0.1, 0.1)}),
+        "Y": Cpt("Y", ("X",), ("0", "1"), {
+            (s,): (i / 5, 1 - i / 5) for i, s in enumerate(states)
+        }),
+    })
+    ds = scm.sample(200, seed=2)
+    assert ds.states["X"] == states and len(ds) == 200
+    assert scm.probability({"Y": "0"}) == pytest.approx(
+        enumerate_probability(scm, {"Y": "0"}), rel=1e-12)
+
+
+def test_query_budget_is_checked_before_any_step_runs():
+    """_elimination_plan's cost is the sum, over its steps, of the
+    configurations each merges: a single step of exactly QUERY_BUDGET fits,
+    one entry more does not."""
+    assert _elimination_plan([("A",)], {"A": QUERY_BUDGET}) == [([0], ())]
+    with pytest.raises(ModelTooLarge):
+        _elimination_plan([("A",)], {"A": QUERY_BUDGET + 1})
+    half = QUERY_BUDGET // 2
+    with pytest.raises(ModelTooLarge):  # A costs 2 * half, then B costs half
+        _elimination_plan([("A", "B")], {"A": 2, "B": half})
+
+
+def test_hub_query_sums_the_leaves_out_first():
+    """A root H with 30 children C_i, each observed through a child D_i:
+    summing H out first would merge H and every C_i, 2^31 entries, past the
+    budget; min-weight order sums each C_i out on its own. With 61 kept
+    nodes the query also needs more variables than einsum has labels."""
+    rng = random.Random(7)
+    kids = [f"C{i:02d}" for i in range(30)]
+    cpts = {"H": Cpt("H", (), ("0", "1"), {(): (0.4, 0.6)})}
+    flip = {}
+    for c in kids:
+        d = "D" + c[1:]
+        flip[c] = [rng.random() for _ in "01"]
+        cpts[c] = Cpt(c, ("H",), ("0", "1"),
+                      {(h,): (1 - p, p) for h, p in zip("01", flip[c])})
+        cpts[d] = Cpt(d, (c,), ("0", "1"), {("0",): (0.9, 0.1), ("1",): (0.2, 0.8)})
+    graph = CausalGraph(list(cpts),
+                        [("H", c) for c in kids] + [(c, "D" + c[1:]) for c in kids])
+    scm = DiscreteScm(graph, cpts)
+    event = {"D" + c[1:]: "1" for c in kids}
+    got = cpu_bounded(lambda: scm.probability(event), 0.1)
+    want = sum(
+        ph * math.prod((1 - flip[c][h]) * 0.1 + flip[c][h] * 0.8 for c in kids)
+        for h, ph in enumerate((0.4, 0.6))
+    )
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def dense_scm(parents=4):
+    """20 nodes D0..D19 with 5 states, each with `parents` earlier parents
+    drawn by random.Random(0). P(D19=1) keeps every node. At 4 parents its
+    min-weight elimination order has induced width 11 (one step spans 5^12
+    configurations) and visits 6.5e8 table entries, ten times QUERY_BUDGET;
+    at 5 parents, width 7 and 5.7e5 entries."""
+    rng = random.Random(0)
+    names = [f"D{i}" for i in range(20)]
+    states = tuple("01234")
+    graph = CausalGraph(names, [
+        (names[j], names[i])
+        for i in range(20) for j in sorted(rng.sample(range(i), min(parents, i)))
+    ])
+
+    def dist():
+        w = [rng.random() for _ in states]
+        return tuple(x / sum(w) for x in w)
+
+    return DiscreteScm(graph, {
+        v: Cpt(v, graph.parents(v), states, {
+            combo: dist() for combo in itertools.product(states, repeat=len(graph.parents(v)))
+        })
+        for v in names
+    })
+
+
+def nine_parent_model_json():
+    """A model file of about 1.6 kB: Y with nine 5-state root parents and
+    a single CPT row, where the parent space holds 5^9 combinations."""
+    parents = [f"P{i}" for i in range(9)]
+    cpts = {p: {"parents": [], "states": list("01234"), "rows": {"": [0.2] * 5}}
+            for p in parents}
+    cpts["Y"] = {"parents": parents, "states": ["0", "1"],
+                 "rows": {",".join(f"{p}=0" for p in parents): [0.5, 0.5]}}
+    return json.dumps({
+        "nodes": [{"name": n, "kind": "observed"} for n in parents + ["Y"]],
+        "edges": [[p, "Y"] for p in parents],
+        "cpts": cpts,
+    }, indent=2)
+
+
+def test_dense_model_query_is_refused_by_its_plan(tmp_path):
+    path = tmp_path / "dense_scm.json"
+    path.write_text(scm_to_json(dense_scm()))
+    out, _ = cpu_bounded_child(f"""
+        from causalkit import ModelTooLarge, scm_from_json
+        model = scm_from_json(open({str(path)!r}).read())
+        try:
+            model.probability({{"D19": "1"}})
+        except ModelTooLarge as exc:
+            print(type(exc).__name__)
+    """, 5.0)
+    assert out == ["ModelTooLarge"]
+
+
+def test_dense_but_narrow_model_is_answered():
+    scm = dense_scm(parents=5)
+    got = cpu_bounded(lambda: [scm.probability({"D19": s}) for s in "01234"], 1.0)
+    assert sum(got) == pytest.approx(1.0, rel=1e-12)
 
 
 def polytree_edges(names):
@@ -453,9 +631,9 @@ def grid_edges(names, width=5):
 @pytest.mark.parametrize("edges", [polytree_edges, grid_edges], ids=["polytree", "grid"])
 def test_query_at_both_caps_is_fast(edges):
     rng = random.Random(5)
-    names = [f"P{i}" for i in range(MAX_NODES)]
+    names = [f"P{i}" for i in range(20)]
     graph = CausalGraph(names, edges(names))
-    states = tuple(str(s) for s in range(MAX_STATES))
+    states = tuple(str(s) for s in range(5))
 
     def dist():
         w = [rng.random() for _ in states]
