@@ -45,8 +45,8 @@ from .errors import (
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Moves onto a node that path enumeration may make before it gives up, so its
-# time and memory are bounded on any graph. A complete 10-node DAG (219,201
-# steps between two of its nodes) still fits.
+# time and memory are bounded on any graph. A complete 10-node DAG's paths
+# (219,201 steps) and a complete 11-node DAG's backdoor paths (219,202) fit.
 PATH_STEP_BUDGET = 1 << 18
 
 
@@ -247,26 +247,28 @@ class CausalGraph:
         once the search has moved onto a node more than PATH_STEP_BUDGET
         times.
         """
+        return self._paths(x, y, (FORWARD, BACKWARD))
+
+    def _paths(self, x: str, y: str, first: tuple[str, ...]) -> list[Path]:
+        """`undirected_paths` whose first arrow is in `first`: the search
+        leaves x by those moves only, and spends no step on other paths."""
         self._require(x)
         self._require(y)
         if x == y:
             raise OverlappingSets({x})
 
-        neighbors: dict[str, list[tuple[str, str]]] = {
-            n.name: [] for n in self.nodes
+        neighbors = {
+            n: sorted([*((c, FORWARD) for c in self._children[n]),
+                       *((p, BACKWARD) for p in self._parents[n])])
+            for n in self._kind
         }
-        for a, b in self.edges:
-            neighbors[a].append((b, FORWARD))
-            neighbors[b].append((a, BACKWARD))
-        for lst in neighbors.values():
-            lst.sort()
 
         found: list[Path] = []
         stack_nodes = [x]
         stack_arrows: list[str] = []
         on_path = {x}
         # untried neighbours of each node on the path, deepest last
-        pending = [iter(neighbors[x])]
+        pending = [(m for m in neighbors[x] if m[1] in first)]
         steps = 0
         while pending:
             for nxt, arrow in pending[-1]:
@@ -315,10 +317,9 @@ class CausalGraph:
         return False
 
     def backdoor_paths(self, x: str, y: str) -> list[Path]:
-        """Undirected paths from x to y whose first edge points into x."""
-        return [
-            p for p in self.undirected_paths(x, y) if p.arrows[0] == BACKWARD
-        ]
+        """Undirected paths from x to y whose first edge points into x, in
+        `undirected_paths` order; the search leaves x through its parents."""
+        return self._paths(x, y, (BACKWARD,))
 
     # -- d-separation -------------------------------------------------------
 

@@ -178,12 +178,8 @@ def mask_cpts_to_dict(cpts: Mapping[str, Cpt]) -> dict:
 
 def mask_cpts_from_dict(payload: dict) -> dict[str, Cpt]:
     return {
-        r: Cpt(
-            r,
-            tuple(spec["parents"]),
-            tuple(spec["states"]),
-            {tuple(key): tuple(dist) for key, dist in spec["rows"]},
-        )
+        r: Cpt(r, spec["parents"], spec["states"],
+               {tuple(key): dist for key, dist in spec["rows"]})
         for r, spec in payload.items()
     }
 
@@ -219,8 +215,10 @@ def apply_missingness(
     """Sample the indicators and mask the dataset accordingly.
 
     Each indicator's CPT must have states ("0", "1") with 1 meaning missing,
-    and parents equal to its parents in the m-graph; parent values are read
-    from the unmasked data, so self-masking mechanisms behave as wired.
+    parents equal to its parents in the m-graph, and a row for every
+    combination of parent states the dataset declares (rows for other states
+    go unused); parent values are read from the unmasked data, so
+    self-masking mechanisms behave as wired.
     Returns a copy with masked cells set to Missing and one appended column
     per indicator.
     """
@@ -253,7 +251,6 @@ def apply_missingness(
     rng = np.random.default_rng(seed)
     codes = dict(ds.codes)
     states = dict(ds.states)
-    r_names = sorted(mg.indicators())
     for r in order:
         cpt = r_cpts[r]
         for p in cpt.parents:
@@ -261,18 +258,15 @@ def apply_missingness(
                 raise SchemaMismatch(
                     f"indicator parent {p!r} is not a dataset column"
                 )
+        spaces = [states[p] for p in cpt.parents]
         codes[r] = draw_codes(
-            cpt,
-            [codes[p] for p in cpt.parents],
-            [states[p] for p in cpt.parents],
-            len(ds),
-            rng,
+            cpt.table(spaces), [codes[p] for p in cpt.parents], spaces, len(ds), rng
         )
         states[r] = cpt.states
     for v, (r, _) in mg.partial.items():
         codes[v] = np.where(codes[r] == 1, -1, ds.codes[v])
     return DiscreteDataset._from_codes(
-        ds.columns + tuple(r_names), codes, states, len(ds)
+        ds.columns + tuple(sorted(mg.indicators())), codes, states, len(ds)
     )
 
 

@@ -2,10 +2,11 @@
 
 A model binds one conditional probability table to every non-latent node and a
 marginal distribution to every latent node (latent nodes are exogenous, so
-they must be roots). Exact queries run by variable elimination;
-interventions replace a node's table with a point mass on the mutilated graph;
-sampling is ancestral, vectorized with numpy's PCG64 generator and fully
-determined by the seed.
+they must be roots). Each CPT is laid out once, at construction, as one dense
+table; exact queries run by variable elimination over its slices; sampling is
+ancestral, one draw per parent configuration present, with numpy's PCG64
+generator and fully determined by the seed; interventions replace a node's
+table with a point mass on the mutilated graph.
 
 Models have no node or state cap. Query time grows with the model's treewidth,
 so each exact query first plans a min-weight elimination order and counts the
@@ -20,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import product
+from operator import getitem
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -95,9 +97,24 @@ class Cpt:
             raise UnknownState(self.node, state)
         return self.rows[parent_vals][self.states.index(state)]
 
+    def table(self, parent_states: Sequence[Sequence[str]]) -> np.ndarray:
+        """The rows as one read-only array, indexed by the parents' state
+        codes in `parent_states`, then by the node's own. Rows for other
+        states are left out; a combination with no row raises InvalidCpt."""
+        codes = [{s: i for i, s in enumerate(states)} for states in parent_states]
+        rows = {tuple(map(dict.get, codes, key)): dist for key, dist in self.rows.items()}
+        shape = [len(states) for states in parent_states]
+        try:
+            table = np.array([rows[c] for c in product(*map(range, shape))])
+        except KeyError as gap:
+            combo = tuple(map(getitem, parent_states, gap.args[0]))
+            raise InvalidCpt(f"{self.node}: no CPT row for parent states {combo}") from None
+        table = table.reshape(*shape, len(self.states))
+        table.flags.writeable = False
+        return table
+
     @staticmethod
     def point_mass(node: str, states: Sequence[str], value: str) -> "Cpt":
-        states = tuple(states)
         if value not in states:
             raise UnknownState(node, value)
         dist = tuple(1.0 if s == value else 0.0 for s in states)
@@ -132,10 +149,7 @@ class DiscreteScm:
                         f"latent node {name!r} must be exogenous (no parents)"
                     )
                 dist = latent_dists[name]
-                states = tuple(dist)
-                table[name] = Cpt(
-                    name, (), states, {(): tuple(dist[s] for s in states)}
-                )
+                table[name] = Cpt(name, (), dist, {(): dist.values()})
             else:
                 if name not in cpts:
                     raise InvalidCpt(f"node {name!r} has no CPT")
@@ -154,22 +168,25 @@ class DiscreteScm:
         if extra:
             raise InvalidCpt(f"tables for unknown nodes: {sorted(extra)}")
 
-        # with all state spaces known, check each CPT covers every
-        # combination of its parents' states exactly once: its keys are
-        # distinct, so keys inside the space, as many as the space holds
+        # with all state spaces known, lay each CPT out over its parents'
+        # states once its row count is known to match their combinations
+        self._tables: dict[str, np.ndarray] = {}
         for name, cpt in table.items():
-            spaces = [set(table[p].states) for p in cpt.parents]
-            for key in cpt.rows:
-                if not all(map(set.__contains__, spaces, key)):
-                    raise InvalidCpt(
-                        f"{name}: CPT row {key} is outside the parent state space"
-                    )
+            spaces = [table[p].states for p in cpt.parents]
             size = math.prod(map(len, spaces))
             if len(cpt.rows) != size:
                 raise InvalidCpt(
                     f"{name}: {len(cpt.rows)} CPT rows do not cover the "
                     f"{size} combinations of parent states"
                 )
+            try:
+                self._tables[name] = cpt.table(spaces)
+            except InvalidCpt:  # as many rows as combinations: one is outside
+                key = next(k for k in cpt.rows
+                           if not all(map(tuple.__contains__, spaces, k)))
+                raise InvalidCpt(
+                    f"{name}: CPT row {key} is outside the parent state space"
+                ) from None
         self._cpts = table
 
     # -- basics ---------------------------------------------------------
@@ -204,8 +221,8 @@ class DiscreteScm:
 
     def _event_probability(self, constraints: Assignment) -> float:
         """Sum-product over the constrained nodes and their ancestors (every
-        other node is barren and sums out to 1): each kept CPT as a dense
-        array sliced at its constrained states, and one einsum per step of
+        other node is barren and sums out to 1): each kept CPT's table
+        sliced at its constrained states, and one einsum per step of
         `_elimination_plan`, so the cost it checked is the cost that runs.
         Each call takes labels for one step's variables only; one einsum over
         all of them would run out of its 52 labels on a long chain."""
@@ -215,11 +232,9 @@ class DiscreteScm:
         tables, scopes = [], []
         # topological order, not set order, fixes the plan and so the bits
         for name in (n for n in self.graph.topological_order() if n in keep):
-            cpt = self._cpts[name]
-            spaces = [self._cpts[p].states for p in cpt.parents] + [cpt.states]
-            table = np.array([cpt.rows[c] for c in product(*spaces[:-1])])
             index, scope = [], []
-            for var, states in zip((*cpt.parents, name), spaces):
+            for var in (*self._cpts[name].parents, name):
+                states = self._cpts[var].states
                 if var in constraints:
                     index.append(states.index(constraints[var]))
                 elif len(states) == 1:
@@ -229,7 +244,7 @@ class DiscreteScm:
                 else:
                     index.append(slice(None))
                     scope.append(var)
-            tables.append(table.reshape([len(s) for s in spaces])[tuple(index)])
+            tables.append(self._tables[name][tuple(index)])
             scopes.append(tuple(scope))
         sizes = {v: len(self._cpts[v].states) for v in keep}
         for ids, out in _elimination_plan(scopes, sizes):
@@ -301,14 +316,9 @@ class DiscreteScm:
         rng = np.random.default_rng(seed)
         arrays: dict[str, np.ndarray] = {}
         for name in self.graph.topological_order():
-            cpt = self._cpts[name]
-            arrays[name] = draw_codes(
-                cpt,
-                [arrays[p] for p in cpt.parents],
-                [self._cpts[p].states for p in cpt.parents],
-                n,
-                rng,
-            )
+            parents = self._cpts[name].parents
+            arrays[name] = draw_codes(self._tables[name], [arrays[p] for p in parents],
+                                      [self._cpts[p].states for p in parents], n, rng)
 
         emitted = [
             node.name
@@ -360,24 +370,25 @@ def _elimination_plan(
 
 
 def draw_codes(
-    cpt: Cpt,
+    table: np.ndarray,
     parent_codes: Sequence[np.ndarray],
     parent_states: Sequence[Sequence[str]],
     n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """State codes of cpt's node drawn for n records, given the records'
-    parent state codes: one `rng.choice` per parent configuration present,
-    in sorted configuration order."""
+    """State codes drawn for n records from a `Cpt.table` over
+    `parent_states`, given the records' parent state codes: one
+    `rng.choice` per parent configuration present, in sorted label order."""
+    shape = table.shape[:-1]
+    config = np.ravel_multi_index(parent_codes, shape) if shape else np.zeros(n, np.intp)
+    counts = np.bincount(config)
+    present = np.flatnonzero(counts).tolist()
+    labels = (tuple(map(getitem, parent_states, np.unravel_index(c, shape)))
+              for c in present)
+    rows = table.reshape(-1, table.shape[-1])
     out = np.zeros(n, dtype=np.int64)
-    for combo in sorted(cpt.rows):
-        mask = np.ones(n, dtype=bool)
-        for arr, states, val in zip(parent_codes, parent_states, combo):
-            # -2 matches no code: the data has no records in that state
-            mask &= arr == (states.index(val) if val in states else -2)
-        count = int(mask.sum())
-        if count:
-            out[mask] = rng.choice(len(cpt.states), size=count, p=cpt.rows[combo])
+    for _, c in sorted(zip(labels, present)):
+        out[config == c] = rng.choice(rows.shape[1], size=counts[c], p=rows[c])
     return out
 
 
@@ -429,15 +440,8 @@ def scm_from_dict(payload: dict) -> DiscreteScm:
     cpts = {}
     for name, spec in payload.get("cpts", {}).items():
         parents = tuple(spec["parents"])
-        cpts[name] = Cpt(
-            name,
-            parents,
-            tuple(spec["states"]),
-            {
-                _parse_row_key(key, parents): tuple(dist)
-                for key, dist in spec["rows"].items()
-            },
-        )
+        rows = {_parse_row_key(key, parents): dist for key, dist in spec["rows"].items()}
+        cpts[name] = Cpt(name, parents, spec["states"], rows)
     latent_dists = {
         name: dict(zip(spec["states"], spec["probs"]))
         for name, spec in payload.get("latent", {}).items()

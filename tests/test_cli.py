@@ -944,6 +944,18 @@ def test_invalid_rcpt_file_is_exit_2(fixdir, datadir, tmp_path, capsys):
     assert "not a valid indicator-table file" in err
 
 
+def test_mask_without_a_row_for_a_declared_state_is_exit_1(fixdir, tmp_path, capsys):
+    data = tmp_path / "xy_three_x.csv"
+    data.write_text("X,Y\n0,1\n2,0\n1,1\n")
+    rc, out, err = run(capsys, [
+        "missing", "mask", "--data", str(data),
+        "--graph", str(fixdir / "mgraph_mar.json"),
+        "--rcpt", str(fixdir / "mgraph_mar_mask.json"), "--seed", "0",
+    ])
+    assert (rc, out) == (1, "")
+    assert err == "error: InvalidCpt: Ry: no CPT row for parent states ('2',)\n"
+
+
 def _with_nan(src, dest, *path):
     """Copy JSON file `src` to `dest` with the list at `path` set to NaNs."""
     payload = json.loads(src.read_text())

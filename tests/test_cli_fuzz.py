@@ -3,10 +3,11 @@
 Each example picks a subcommand of `cli.build_parser()` and walks the flags
 it declares, filling each with a drawn value: an exported fixture file of
 the right or the wrong kind, a missing, unreadable or garbage file, a CSV
-with quoted cells, a duplicated header name or a field past the csv
-module's size limit, a model past the query budget or with one CPT row for
-5^9 parent states, an unwritable output path, node names and states the
-fixtures do or do not have, and numbers in or out of range. Required flags are sometimes left
+with quoted cells, a duplicated header name, a field past the csv module's
+size limit or an X state the indicator tables have no row for, a model
+past the query budget or with one CPT row for 5^9 parent states, an
+unwritable output path, node names and states the fixtures do or do not
+have, and numbers in or out of range. Required flags are sometimes left
 out. Every run goes through `cli.main` in-process and must return, or exit,
 with 0, 1 or 2, print no traceback, and stay within a CPU-time bound.
 
@@ -99,6 +100,8 @@ def files(tmp_path_factory):
         for line in texts["xy.csv"].splitlines()
     )
     texts["duplicate_header.csv"] = "X,X\n0,1\n"
+    # the mask tables have rows for X = 0 and 1 only: `missing mask` exits 1
+    texts["xy_three_x.csv"] = texts["xy.csv"] + "2,0\n2,1\n"
     texts["broken.json"] = '{"nodes": ['
     texts["empty.txt"] = ""
     nan_model = json.loads(texts["xy_scm.json"])

@@ -170,6 +170,35 @@ def test_path_enumeration_refuses_a_complete_32_node_dag():
     cpu_bounded(refused, 5)
 
 
+def test_backdoor_paths_of_a_complete_11_node_dag_fit_the_budget():
+    """The search leaves x through its parents only, so the budget counts
+    the 109,601 paths it reports (219,202 steps), not the front-door paths
+    a search over every neighbour of x would also walk."""
+    names = [f"N{i:02d}" for i in range(11)]
+    complete = g(names, [(a, b) for i, a in enumerate(names) for b in names[i + 1:]])
+    paths = cpu_bounded(lambda: complete.backdoor_paths("N01", "N02"), 5)
+    assert len(paths) == 109_601
+    assert (paths[0].nodes, paths[0].arrows) == (("N01", "N00", "N02"), ("<-", "->"))
+    wider = g(names + ["N11"], complete.edges | {(n, "N11") for n in names})
+
+    def refused():
+        with pytest.raises(GraphTooLarge):
+            wider.backdoor_paths("N01", "N02")
+
+    cpu_bounded(refused, 5)
+
+
+def test_backdoor_paths_are_the_undirected_paths_into_x():
+    rng = random.Random(11)
+    for n, density in [(rng.randint(2, 8), 0.6) for _ in range(150)]:
+        names, edges = _random_dag(rng, n, density)
+        graph = g(names, edges)
+        x, y = rng.sample(names, 2)
+        assert graph.backdoor_paths(x, y) == [
+            p for p in graph.undirected_paths(x, y) if p.arrows[0] == "<-"
+        ], (edges, x, y)
+
+
 def _random_dag(rng, n, density):
     """n nodes in a causal order hidden from their names, each later node
     joined to each earlier one with probability `density`."""

@@ -240,6 +240,30 @@ def test_apply_missingness_input_checks():
         apply_missingness(already_masked, mg, cpts, seed=0)
 
 
+def test_masking_needs_a_row_for_every_declared_parent_state():
+    """mgraph_mar's Ry table has rows for X = 0 and 1 only. Records with
+    X = 2 were once never masked, and nothing said so."""
+    ds = DiscreteDataset(["X", "Y"], [("2", "0"), ("0", "1"), ("2", "1")] * 20)
+    mg = fx.mgraph_mar()
+    with pytest.raises(InvalidCpt, match=r"^Ry: no CPT row for parent states \('2',\)$"):
+        apply_missingness(ds, mg, fx.mask_cpts(mg), seed=0)
+    # declared is enough: no record needs to hold the state
+    unheld = DiscreteDataset(["X", "Y"], [("0", "1")], states={"X": ("0", "1", "2"), "Y": BIN})
+    with pytest.raises(InvalidCpt, match="no CPT row"):
+        apply_missingness(unheld, mg, fx.mask_cpts(mg), seed=0)
+
+
+def test_mask_rows_for_undeclared_parent_states_go_unused():
+    ds = fx.xy_scm().sample(500, seed=1)
+    mg = fx.mgraph_mar()
+    cpts = fx.mask_cpts(mg)
+    masked = apply_missingness(ds, mg, cpts, seed=4)
+    # one label sorts before the declared ones, one after
+    extra = {**cpts["Ry"].rows, ("+",): (0.0, 1.0), ("2",): (0.5, 0.5)}
+    wider = {"Ry": Cpt("Ry", ("X",), BIN, extra)}
+    assert apply_missingness(ds, mg, wider, seed=4) == masked
+
+
 def test_mask_positions_ignore_outcome_for_mcar_and_mar():
     """Flipping outcome values at to-be-masked cells changes nothing the
     indicators can see, so the masked datasets coincide exactly."""

@@ -12,6 +12,7 @@ import textwrap
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,9 @@ from causalkit import (
 )
 import causalkit
 from causalkit import fixtures as fx
-from causalkit.scm import QUERY_BUDGET, _elimination_plan
+from causalkit.scm import QUERY_BUDGET, _elimination_plan, draw_codes
+
+import sample_oracle
 
 
 def enumerate_probability(scm, event):
@@ -424,15 +427,17 @@ def cpu_bounded(fn, budget):
     return out
 
 
-def cpu_bounded_child(code, budget):
+def cpu_bounded_child(code, budget, setup=""):
     """(stdout lines, stderr) of the Python `code` run in a child process,
     failing the test once `code` has spent `budget` seconds of CPU time.
     The child caps its own CPU time (RLIMIT_CPU, whole seconds, counted
-    after its imports), so the kernel also stops a loop inside one C call,
-    which cpu_bounded's signal cannot interrupt."""
-    script = textwrap.dedent(f"""
+    after its imports and the untimed `setup` code), so the kernel also
+    stops a loop inside one C call, which cpu_bounded's signal cannot
+    interrupt."""
+    script = textwrap.dedent("""
         import math, resource, time
         import causalkit.cli
+    """) + textwrap.dedent(setup) + textwrap.dedent(f"""
         start = time.process_time()
         hard = resource.getrlimit(resource.RLIMIT_CPU)[1]
         resource.setrlimit(resource.RLIMIT_CPU, (math.ceil(start + {budget}), hard))
@@ -707,6 +712,82 @@ def test_declared_states_cover_unseen_labels():
     ds = rare.sample(100, seed=0)
     assert ds.states["X"] == ("0", "1")
     assert all(r == ("0",) for r in ds.rows)
+
+
+# sorted order differs from declared order: "10" < "2", "B" < "a"
+LABELS = ("2", "10", "a", "B", "1", "x")
+
+
+@st.composite
+def sampler_cases(draw):
+    """A CPT with 0-3 parents and 1-4 states each, some entries zero, whose
+    rows may cover parent states the records' columns do not declare, and
+    records whose parent codes leave some declared states unheld."""
+    def labels():
+        return tuple(draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4,
+                                   unique=True)))
+
+    declared = [labels() for _ in range(draw(st.integers(0, 3)))]
+    extra = [draw(st.lists(st.sampled_from([s for s in LABELS if s not in d]),
+                           max_size=1)) for d in declared]
+    states = labels()
+
+    def dist():
+        w = [draw(st.sampled_from([0, 0, 1, 3])) for _ in states]
+        w[draw(st.integers(0, len(w) - 1))] += 1
+        return tuple(x / sum(w) for x in w)
+
+    cpt = Cpt("V", tuple(f"P{i}" for i in range(len(declared))), states, {
+        combo: dist()
+        for combo in itertools.product(*(d + tuple(e) for d, e in zip(declared, extra)))
+    })
+    n = draw(st.sampled_from([0, 1, 2, 3000]) | st.integers(0, 3000))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32)))
+    dtype = draw(st.sampled_from([np.int8, np.int64]))
+    codes = [
+        gen.choice(draw(st.lists(st.integers(0, len(d) - 1), min_size=1, unique=True)),
+                   size=n).astype(dtype)
+        for d in declared
+    ]
+    return cpt, declared, codes, n, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampler_cases())
+def test_sampler_matches_the_per_row_oracle(case):
+    """Codes and the generator's next draw agree with the per-row loop."""
+    cpt, declared, codes, n, seed = case
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = sample_oracle.draw_codes(cpt, codes, declared, n, want_rng)
+    got = draw_codes(cpt.table(declared), codes, declared, n, got_rng)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert got_rng.random() == want_rng.random()
+
+
+def test_wide_table_samples_and_queries_in_time():
+    """Seven 5-state roots feeding a binary Y, 78,125 CPT rows. Sampling
+    draws once per parent configuration present and queries slice the
+    table built at construction; the per-row sampler spent 1 s on
+    sample(10) alone."""
+    out, _ = cpu_bounded_child("""
+        scm.sample(10, seed=0)
+        scm.sample(1000, seed=1)
+        print(repr([scm.probability({"Y": "1"}) for _ in range(20)][-1]))
+    """, 0.25, setup="""
+        import itertools
+        from causalkit import CausalGraph, Cpt, DiscreteScm
+        parents = tuple(f"P{i}" for i in range(7))
+        five = tuple("01234")
+        cpts = {p: Cpt(p, (), five, {(): (0.2,) * 5}) for p in parents}
+        cpts["Y"] = Cpt("Y", parents, ("0", "1"), {
+            combo: (1 - i % 7 / 8, i % 7 / 8)
+            for i, combo in enumerate(itertools.product(five, repeat=7))
+        })
+        graph = CausalGraph([*parents, "Y"], [(p, "Y") for p in parents])
+        scm = DiscreteScm(graph, cpts)
+    """)
+    want = sum(i % 7 / 8 for i in range(5**7)) / 5**7
+    assert float(out[0]) == pytest.approx(want, rel=1e-12)
 
 
 # -- serialization -----------------------------------------------------------------
