@@ -19,125 +19,77 @@ The package is organized by task:
 - `discovery`: chi-square independence testing, constraint-based pattern
   search, and greedy BIC structure search.
 - `fixtures`: the worked examples shared by the docs, tests, and CLI.
+
+Each exported name is imported from its module on first use (PEP 562), so
+`import causalkit` loads no submodule, and the graph-only functions load
+neither numpy nor scipy.
 """
 
-from .bandits import (
-    BanditEnv,
-    BetaPosterior,
-    CausalThompsonPolicy,
-    EpsilonGreedyPolicy,
-    OraclePolicy,
-    Round,
-    RunResult,
-    ThompsonPolicy,
-    UniformPolicy,
-    env_from_dict,
-    env_from_json,
-    env_to_dict,
-    env_to_json,
-    make_policy,
-    simulate,
-)
-from .data import (
-    MISSING,
-    DiscreteDataset,
-    ProbTable,
-    empirical_joint,
-)
-from .discovery import (
-    CiResult,
-    Pattern,
-    TraceStep,
-    bic_family_score,
-    ci_test,
-    dsep_ci_fn,
-    greedy_score_search,
-    markov_equivalent,
-    orient,
-    pattern_of_dag,
-    pc,
-    pc_skeleton,
-    vstructures,
-)
-from .errors import (
-    CausalKitError,
-    CycleDetected,
-    DanglingEdge,
-    DataError,
-    DuplicateNode,
-    EmptySelection,
-    EmptyStratum,
-    GraphError,
-    GraphTooLarge,
-    InsufficientData,
-    InvalidCpt,
-    InvalidNodeName,
-    InvalidStructure,
-    MissingIntent,
-    ModelTooLarge,
-    NotSupported,
-    OverlappingSets,
-    PartialAssignment,
-    PartialOverlap,
-    PositivityViolation,
-    SchemaMismatch,
-    ScmError,
-    UnknownArm,
-    UnknownNode,
-    UnknownState,
-    UnmatchedPattern,
-    WeightMismatch,
-    WeightsNotNormalized,
-    ZeroEvidenceProbability,
-)
-from .estimation import (
-    SimpsonReport,
-    backdoor_adjust,
-    backdoor_adjust_ratio,
-    compute_ace,
-    detect_simpson_reversal,
-    empirical_conditional,
-)
-from .graph import (
-    CausalGraph,
-    Node,
-    NodeKind,
-    Path,
-    graph_from_dict,
-    graph_from_json,
-    graph_to_dict,
-    graph_to_json,
-)
-from .missing import (
-    NOT_RECOVERABLE,
-    Mechanism,
-    MGraph,
-    NotRecoverable,
-    TestabilityResult,
-    apply_missingness,
-    classify_mechanism,
-    is_ci_testable,
-    mgraph_from_dict,
-    mgraph_from_json,
-    mgraph_to_dict,
-    mgraph_to_json,
-    recover_joint,
-)
-from .scm import (
-    Cpt,
-    DiscreteScm,
-    scm_from_dict,
-    scm_from_json,
-    scm_to_dict,
-    scm_to_json,
-)
-from .transport import (
-    PathAssessment,
-    SelectionReport,
-    StratumEffects,
-    detect_selection_bias,
-    stratified_debias,
-    transport_estimate,
-)
+import importlib
 
+# each submodule and the names it exports; `from causalkit import *` binds both
+_EXPORTS = {
+    "bandits": (
+        "BanditEnv", "BetaPosterior", "CausalThompsonPolicy", "EpsilonGreedyPolicy",
+        "OraclePolicy", "Round", "RunResult", "ThompsonPolicy", "UniformPolicy",
+        "env_from_dict", "env_from_json", "env_to_dict", "env_to_json",
+        "make_policy", "simulate",
+    ),
+    "data": ("MISSING", "DiscreteDataset", "ProbTable", "empirical_joint"),
+    "discovery": (
+        "CiResult", "Pattern", "TraceStep", "bic_family_score", "ci_test",
+        "dsep_ci_fn", "greedy_score_search", "markov_equivalent", "orient",
+        "pattern_of_dag", "pc", "pc_skeleton", "vstructures",
+    ),
+    "errors": (
+        "CausalKitError", "CycleDetected", "DanglingEdge", "DataError",
+        "DuplicateNode", "EmptySelection", "EmptyStratum", "GraphError",
+        "GraphTooLarge", "InsufficientData", "InvalidCpt", "InvalidNodeName",
+        "InvalidStructure", "MissingIntent", "ModelTooLarge", "NotSupported",
+        "OverlappingSets", "PartialAssignment", "PartialOverlap",
+        "PositivityViolation", "SchemaMismatch", "ScmError", "UnknownArm",
+        "UnknownNode", "UnknownState", "UnmatchedPattern", "WeightMismatch",
+        "WeightsNotNormalized", "ZeroEvidenceProbability",
+    ),
+    "estimation": (
+        "SimpsonReport", "backdoor_adjust", "backdoor_adjust_ratio", "compute_ace",
+        "detect_simpson_reversal", "empirical_conditional",
+    ),
+    "graph": (
+        "CausalGraph", "Node", "NodeKind", "Path", "graph_from_dict",
+        "graph_from_json", "graph_to_dict", "graph_to_json",
+    ),
+    "missing": (
+        "NOT_RECOVERABLE", "Mechanism", "MGraph", "NotRecoverable",
+        "TestabilityResult", "apply_missingness", "classify_mechanism",
+        "is_ci_testable", "mgraph_from_dict", "mgraph_from_json", "mgraph_to_dict",
+        "mgraph_to_json", "recover_joint",
+    ),
+    "scm": (
+        "Cpt", "DiscreteScm", "scm_from_dict", "scm_from_json", "scm_to_dict",
+        "scm_to_json",
+    ),
+    "transport": (
+        "PathAssessment", "SelectionReport", "StratumEffects",
+        "detect_selection_bias", "stratified_debias", "transport_estimate",
+    ),
+}
+# exported name -> the module that defines it
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_EXPORTS, *_MODULE_OF]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """A submodule, or an exported name read from its module on each access."""
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    """The module's globals and every exported name, loaded or not."""
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,11 @@ Conventions: `--out text` (default) prints probabilities with three
 decimals, `--out json` prints full precision; randomized subcommands
 require `--seed`. Each subcommand declares its input files (`_command`);
 `main` reads and parses them, in flag order, before the handler runs.
+Handlers import the functions they call, and each input's parser is
+imported when its file is read, so a process loads only the modules its
+subcommand computes with: `dsep`, `backdoor-check`, `identify`,
+`selection-check`, `missing classify` and `missing testable` never load
+numpy.
 Output files (`--save`, `fixtures --dest`) go through `_write`. Exit
 codes: 0 on success, 1 when the computation raises a domain error, 2 for
 usage problems and for a file that cannot be read, does not parse, or
@@ -24,60 +29,59 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import sys
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import fixtures
-from .bandits import env_from_json, make_policy, simulate
-from .data import DiscreteDataset
-from .discovery import greedy_score_search, pc
 from .errors import CausalKitError
-from .estimation import (
-    backdoor_adjust,
-    backdoor_adjust_ratio,
-    compute_ace,
-    detect_simpson_reversal,
-)
-from .graph import graph_from_json, graph_to_dict
-from .missing import (
-    NOT_RECOVERABLE,
-    apply_missingness,
-    classify_mechanism,
-    is_ci_testable,
-    mask_cpts_from_json,
-    mgraph_from_json,
-    recover_joint,
-)
-from .scm import scm_from_json
-from .transport import StratumEffects, detect_selection_bias, stratified_debias, transport_estimate
+
+if TYPE_CHECKING:
+    from .data import DiscreteDataset
+
+
+def __getattr__(name: str):
+    """An exported name of the package, read from its module on each access
+    (PEP 562), so `cli.backdoor_adjust` is the function its handler imports
+    and calls, wrapped or not."""
+    package = sys.modules[__package__]
+    if name in package.__all__:
+        return getattr(package, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class _FileError(Exception):
     """A file cannot be read, does not parse, or cannot be written."""
 
 
-# Input files, each (flag, what the file holds, parser of its text, flag help).
-_GRAPH = ("--graph", "graph", graph_from_json, None)
-_MGRAPH = ("--graph", "missingness graph", mgraph_from_json, None)
-_MODEL = ("--model", "model", scm_from_json, None)
-# looked up per call, so a wrapper bound on the class later is the one called
-_DATA = ("--data", "dataset", lambda text: DiscreteDataset.from_csv(text), None)
-_ENV = ("--env", "bandit environment", env_from_json, None)
-_EFFECTS = ("--effects", "effects file", StratumEffects.from_json, "StratumEffects JSON file")
-_RCPT = ("--rcpt", "indicator-table file", mask_cpts_from_json, "indicator tables JSON")
+# Input files, each (flag, what the file holds, parser of its text as
+# "module:attribute", flag help). The parser is looked up when the file is
+# read, so a subcommand imports only the modules it reads with, and a wrapper
+# bound on the class or module later is the one called.
+_GRAPH = ("--graph", "graph", "graph:graph_from_json", None)
+_MGRAPH = ("--graph", "missingness graph", "missing:mgraph_from_json", None)
+_MODEL = ("--model", "model", "scm:scm_from_json", None)
+_DATA = ("--data", "dataset", "data:DiscreteDataset.from_csv", None)
+_ENV = ("--env", "bandit environment", "bandits:env_from_json", None)
+_EFFECTS = ("--effects", "effects file", "transport:StratumEffects.from_json",
+            "StratumEffects JSON file")
+_RCPT = ("--rcpt", "indicator-table file", "missing:mask_cpts_from_json",
+         "indicator tables JSON")
 
 
 def _load(args, spec):
     """Read the file that input `spec` names in `args` and parse its text."""
-    flag, what, parse, _ = spec
+    flag, what, parser, _ = spec
     path = getattr(args, flag[2:])
     try:
         with open(path) as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _FileError(f"cannot read {path}: {exc}") from exc
+    module, _, attr = parser.partition(":")
+    parse = attrgetter(attr)(importlib.import_module(f".{module}", __package__))
     try:
         return parse(text)
     except json.JSONDecodeError as exc:
@@ -219,6 +223,8 @@ def _cmd_scm_query(args, scm):
 
 
 def _cmd_estimate_do(args, ds):
+    from .estimation import backdoor_adjust, backdoor_adjust_ratio
+
     x, x_val = args.x
     y, y_val = args.y
     estimator = backdoor_adjust_ratio if args.ratio else backdoor_adjust
@@ -235,6 +241,8 @@ def _cmd_estimate_do(args, ds):
 
 
 def _cmd_estimate_ace(args, ds):
+    from .estimation import compute_ace
+
     y, y_val = args.y
     ace = compute_ace(ds, args.x, args.treat, args.control, y, y_val, args.adjust)
     payload = {
@@ -249,6 +257,8 @@ def _cmd_estimate_ace(args, ds):
 
 
 def _cmd_estimate_simpson(args, ds):
+    from .estimation import detect_simpson_reversal
+
     y, y_val = args.y
     report = detect_simpson_reversal(ds, args.x, y, y_val, args.strata)
     first, second = report.arms
@@ -285,6 +295,8 @@ def _cmd_estimate_simpson(args, ds):
 
 
 def _cmd_selection_check(args, graph):
+    from .transport import detect_selection_bias
+
     report = detect_selection_bias(graph, args.x, args.y)
     payload = {
         "x": report.x,
@@ -313,6 +325,8 @@ def _cmd_selection_check(args, graph):
 
 
 def _cmd_debias(args, ds):
+    from .transport import stratified_debias
+
     x, x_val = args.x
     y, y_val = args.y
     estimate = stratified_debias(ds, x, x_val, y, y_val, args.strata)
@@ -326,21 +340,29 @@ def _cmd_debias(args, ds):
 
 
 def _cmd_transport(args, se):
+    from .transport import transport_estimate
+
     estimate = transport_estimate(se)
     payload = {"stratum": se.stratum, "estimate": estimate}
     return payload, [_fmt(estimate)]
 
 
 def _cmd_missing_classify(args, mg):
+    from .missing import classify_mechanism
+
     mechanism = classify_mechanism(mg)
     return {"mechanism": mechanism.value}, [f"mechanism: {mechanism.value}"]
 
 
 def _cmd_missing_mask(args, ds, mg, cpts):
+    from .missing import apply_missingness
+
     return _csv_result(apply_missingness(ds, mg, cpts, args.seed), args.save)
 
 
 def _cmd_missing_recover(args, ds, mg):
+    from .missing import NOT_RECOVERABLE, recover_joint
+
     table = recover_joint(mg, ds, args.vars)
     if table is NOT_RECOVERABLE:
         return {"recoverable": False, "table": None}, ["NOT_RECOVERABLE"]
@@ -353,6 +375,8 @@ def _cmd_missing_recover(args, ds, mg):
 
 
 def _cmd_missing_testable(args, mg):
+    from .missing import is_ci_testable
+
     result = is_ci_testable(mg, args.x, args.y, args.given)
     payload = {
         "x": sorted(args.x),
@@ -376,6 +400,8 @@ def _cmd_missing_testable(args, mg):
 
 
 def _cmd_bandit_sim(args, env):
+    from .bandits import make_policy, simulate
+
     policy = make_policy(args.policy, epsilon=args.epsilon)
     result = simulate(
         env, policy, args.horizon, args.seed, regret_benchmark=args.benchmark
@@ -403,6 +429,8 @@ def _cmd_bandit_sim(args, env):
 
 
 def _cmd_discover_pc(args, ds):
+    from .discovery import pc
+
     pattern = pc(
         ds,
         alpha=args.alpha,
@@ -422,6 +450,9 @@ def _cmd_discover_pc(args, ds):
 
 
 def _cmd_discover_ges(args, ds):
+    from .discovery import greedy_score_search
+    from .graph import graph_to_dict
+
     graph, trace = greedy_score_search(ds)
     payload = {
         "graph": graph_to_dict(graph),
@@ -445,6 +476,8 @@ def _cmd_discover_ges(args, ds):
 
 
 def _cmd_fixtures(args):
+    from . import fixtures
+
     dest = Path(args.dest)
     # a directory that cannot be made fails the first write, which names it
     with contextlib.suppress(OSError):

@@ -20,11 +20,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .data import DiscreteDataset, ProbTable, marginal_counts
 from .errors import (
     EmptySelection,
     EmptyStratum,
@@ -35,7 +32,10 @@ from .errors import (
     UnmatchedPattern,
 )
 from .graph import CausalGraph, NodeKind, graph_from_dict, graph_to_dict
-from .scm import Cpt, draw_codes
+
+if TYPE_CHECKING:  # imported where used, so the graph-only functions load no numpy
+    from .data import DiscreteDataset, ProbTable
+    from .scm import Cpt
 
 
 class Mechanism(str, Enum):
@@ -177,6 +177,8 @@ def mask_cpts_to_dict(cpts: Mapping[str, Cpt]) -> dict:
 
 
 def mask_cpts_from_dict(payload: dict) -> dict[str, Cpt]:
+    from .scm import Cpt
+
     return {
         r: Cpt(r, spec["parents"], spec["states"],
                {tuple(key): dist for key, dist in spec["rows"]})
@@ -222,6 +224,11 @@ def apply_missingness(
     Returns a copy with masked cells set to Missing and one appended column
     per indicator.
     """
+    import numpy as np
+
+    from .data import DiscreteDataset
+    from .scm import draw_codes
+
     g = mg.graph
     for v in mg.partial:
         if v not in ds.columns:
@@ -318,6 +325,8 @@ def recover_joint(
     outcome causing its own indicator) returns NOT_RECOVERABLE. Graphs
     outside the families raise UnmatchedPattern.
     """
+    from .data import ProbTable, marginal_counts
+
     cause, outcome, family = _match_two_var_family(mg, variables)
     if family == "c":
         return NOT_RECOVERABLE

@@ -380,7 +380,9 @@ def draw_codes(
     `parent_states`, given the records' parent state codes: one
     `rng.choice` per parent configuration present, in sorted label order."""
     shape = table.shape[:-1]
-    config = np.ravel_multi_index(parent_codes, shape) if shape else np.zeros(n, np.intp)
+    if not shape:  # a root: its one configuration holds every record
+        return rng.choice(table.shape[-1], size=n, p=table)
+    config = np.ravel_multi_index(parent_codes, shape)
     counts = np.bincount(config)
     present = np.flatnonzero(counts).tolist()
     labels = (tuple(map(getitem, parent_states, np.unravel_index(c, shape)))

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .data import DiscreteDataset, marginal_counts
 from .errors import (
     EmptySelection,
     EmptyStratum,
@@ -24,6 +23,9 @@ from .errors import (
     WeightsNotNormalized,
 )
 from .graph import CausalGraph, NodeKind, Path
+
+if TYPE_CHECKING:  # imported where used, so selection checks load no numpy
+    from .data import DiscreteDataset
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,8 @@ def stratified_debias(
     come from the whole population. On fully observed data this reduces to
     the plain conditional P(y | x).
     """
+    from .data import marginal_counts
+
     if x_val not in ds.column_states(x):
         raise UnknownState(x, x_val)
     if y_val not in ds.column_states(y):

@@ -1,14 +1,20 @@
 """Command-line interface: wiring, formats, and exit codes.
 
-Every test drives `cli.main` in-process with capsys; handlers are compared
-against direct library calls rather than re-derived arithmetic.
+Every test but the import check, which needs a fresh process, drives
+`cli.main` in-process with capsys; handlers are compared against direct
+library calls rather than re-derived arithmetic.
 """
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import causalkit
 from causalkit import (
     CausalGraph,
     DiscreteDataset,
@@ -1247,6 +1253,64 @@ def test_csv_inputs_go_through_the_class_attribute(fixdir, monkeypatch, capsys):
     )
     assert rc == 0
     assert read == [path.read_text()]
+
+
+# Each graph-only subcommand on the exported fixtures, with the output it prints.
+GRAPH_ONLY = {
+    "dsep": (
+        "dsep --graph smoking_graph.json --x Smoking --y Lung_cancer --given Genotype",
+        "d-separated: false\n",
+    ),
+    "backdoor-check": (
+        "backdoor-check --graph smoking_graph.json --x Smoking --y Lung_cancer "
+        "--adjust Genotype",
+        "satisfies backdoor criterion: true\n",
+    ),
+    "identify": (
+        "identify --graph smoking_graph.json --x Smoking --y Lung_cancer",
+        "rule 1 (drop observations w from P(y | do(x), z, w)): applicable\n"
+        "rule 3 (drop do(x) from P(y | do(x))): not applicable\n",
+    ),
+    "selection-check": (
+        "selection-check --graph covid_graph.json --x test --y antibody",
+        "selection nodes: S\n  test <- risk -> S <- virus -> antibody | "
+        "unconditioned: blocked | under selection: open\nselection bias: true\n",
+    ),
+    "missing classify": (
+        "missing classify --graph mgraph_self_masking.json",
+        "mechanism: MNAR\n",
+    ),
+    "missing testable": (
+        "missing testable --graph mgraph_mar.json --x X --y Y",
+        "testable: false\n"
+        "  condition 1 (y has a member outside the needed indicators): true\n"
+        "  condition 2 (x-side indicators inside the statement): true\n"
+        "  condition 3 (y/z-side indicators inside y or z): false\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", GRAPH_ONLY)
+def test_graph_only_commands_load_no_numpy(fixdir, command):
+    """Run as `python -m causalkit.cli` runs it (runpy, as __main__), each
+    graph-only subcommand prints its output without ever importing numpy."""
+    line, stdout = GRAPH_ONLY[command]
+    script = (
+        "import runpy, sys\n"
+        f"sys.argv = ['causalkit', *{line.split()!r}]\n"
+        "try:\n"
+        "    runpy.run_module('causalkit.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    )
+    src = str(Path(causalkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=fixdir, capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == stdout
+    assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
 
 
 # -- requests past a fixed budget ------------------------------------------------------

@@ -300,20 +300,25 @@ def test_pc_stops_once_no_adjacency_set_is_large_enough():
 
 
 def test_import_leaves_scipy_stats_unloaded():
+    # a bare `import causalkit` loads neither numpy nor scipy; then no
+    # module, each imported in turn, loads scipy.stats
     src = Path(causalkit.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import sys, causalkit, causalkit.cli; print('scipy.stats' in sys.modules)",
+            "import sys, causalkit; print(sorted({'numpy', 'scipy'} & set(sys.modules)))\n"
+            "import causalkit.cli\n"
+            "for name in causalkit.__all__: getattr(causalkit, name)\n"
+            "print('scipy.stats' in sys.modules)",
         ],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["[]", "False"]
 
 
 def test_pc_argument_validation():

@@ -433,10 +433,14 @@ def cpu_bounded_child(code, budget, setup=""):
     The child caps its own CPU time (RLIMIT_CPU, whole seconds, counted
     after its imports and the untimed `setup` code), so the kernel also
     stops a loop inside one C call, which cpu_bounded's signal cannot
-    interrupt."""
+    interrupt. The package loads its modules on first use, so the untimed
+    preamble imports every module behind `causalkit.__all__` as well as the
+    CLI: a budget covers the call, not the imports it would trigger."""
     script = textwrap.dedent("""
         import math, resource, time
         import causalkit.cli
+        for name in causalkit.__all__:
+            getattr(causalkit, name)
     """) + textwrap.dedent(setup) + textwrap.dedent(f"""
         start = time.process_time()
         hard = resource.getrlimit(resource.RLIMIT_CPU)[1]
