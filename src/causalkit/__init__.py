@@ -21,8 +21,8 @@ The package is organized by task:
 - `fixtures`: the worked examples shared by the docs, tests, and CLI.
 
 Each exported name is imported from its module on first use (PEP 562), so
-`import causalkit` loads no submodule, and the graph-only functions load
-neither numpy nor scipy.
+`import causalkit` loads no submodule, and the graph-only functions load no
+numpy. Nothing loads scipy: the chi-square tail is ported in `_chi2`.
 """
 
 import importlib

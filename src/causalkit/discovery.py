@@ -3,11 +3,13 @@
 `ci_test` is a stratified Pearson chi-square test: one contingency table per
 conditioning-set stratum, statistics and degrees of freedom summed across
 strata, and a hard InsufficientData error whenever an expected cell falls
-below the minimum count. `pc_skeleton`/`orient` implement the PC loop with
-conditioning sets drawn from current adjacencies (sizes 0..max), v-structure
-orientation with conflict reporting, and the away-from-collider propagation
-rule. `greedy_score_search` hill-climbs DAGs under the discrete BIC score,
-adding single edges while any addition helps, then deleting likewise.
+below the minimum count. Its tail probability comes from `_chi2.chdtrc`, a
+bit-identical port of scipy's Cephes routine. `pc_skeleton`/`orient`
+implement the PC loop with conditioning sets drawn from current adjacencies
+(sizes 0..max), v-structure orientation with conflict reporting, and the
+away-from-collider propagation rule. `greedy_score_search` hill-climbs DAGs
+under the discrete BIC score, adding single edges while any addition helps,
+then deleting likewise.
 
 Everything is deterministic: variables, edges, and candidate conditioning
 sets are always processed in lexicographic order, and family scores are
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
+from ._chi2 import chdtrc
 from .data import DiscreteDataset, marginal_counts
 from .errors import EmptySelection, InsufficientData, SchemaMismatch
 from .graph import CausalGraph, Node, NodeKind, reach
@@ -41,6 +44,17 @@ class CiResult:
     independent: bool
 
 
+def _check_levels(alpha: float, min_expected: float) -> None:
+    """Refuse the values the CLI refuses: a NaN `min_expected` would switch
+    the sparse-cell guard off, since `expected < nan` is always false."""
+    if not 0.0 < alpha < 1.0:
+        raise SchemaMismatch(f"alpha must be a level in (0, 1), got {alpha!r}")
+    if not min_expected >= 0:
+        raise SchemaMismatch(
+            f"min_expected must be a number >= 0, got {min_expected!r}"
+        )
+
+
 def ci_test(
     ds: DiscreteDataset,
     x: str,
@@ -56,7 +70,7 @@ def ci_test(
     """
     if x == y:
         raise SchemaMismatch("x and y must differ")
-    from scipy.special import chdtrc  # here, so importing causalkit loads no scipy
+    _check_levels(alpha, min_expected)
 
     zcols = sorted(z)
     counts = ds.counts([x, y] + zcols)
@@ -90,7 +104,7 @@ def ci_test(
                 statistic += (observed - expected) ** 2 / expected
         dof += (len(xs) - 1) * (len(ys) - 1)
 
-    p_value = float(chdtrc(dof, statistic)) if dof > 0 else 1.0
+    p_value = chdtrc(dof, statistic) if dof > 0 else 1.0
     return CiResult(
         x=x,
         y=y,
@@ -186,6 +200,9 @@ def pc_skeleton(
     independence) to run against an oracle instead of data; InsufficientData
     from the data-driven test propagates.
     """
+    _check_levels(alpha, min_expected)
+    if max_cond_size < 0:
+        raise SchemaMismatch(f"max_cond_size must be >= 0, got {max_cond_size!r}")
     if ci_fn is None:
         if ds is None:
             raise SchemaMismatch("need a dataset or an independence callable")

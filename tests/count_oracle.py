@@ -3,9 +3,9 @@
 Each function walks `DiscreteDataset.rows`, the label view, in Python and
 counts records one at a time with a `Counter`: the way the library counted
 before datasets were stored as integer-coded columns. Nothing here calls
-`counts`, and the chi-square tail comes from
-`scipy.stats.chi2.sf` rather than the library's `scipy.special.chdtrc`, so
-agreement with the library is a genuine two-route check. The estimator
+`counts`, and the chi-square tail comes from `scipy.stats.chi2.sf` rather
+than the library's port of Cephes `chdtrc` (`causalkit._chi2`), so agreement
+with the library is a genuine two-route check. The estimator
 routes raise the library's errors with the library's messages and combine
 their counts in the library's order (sorted strata), so their floats must
 equal the library's bit for bit.

@@ -1,6 +1,6 @@
 """Command-line interface: wiring, formats, and exit codes.
 
-Every test but the import check, which needs a fresh process, drives
+Every test but the import checks, which need fresh processes, drives
 `cli.main` in-process with capsys; handlers are compared against direct
 library calls rather than re-derived arithmetic.
 """
@@ -22,6 +22,7 @@ from causalkit import (
     ProbTable,
     apply_missingness,
     backdoor_adjust,
+    ci_test,
     cli,
     graph_to_json,
     greedy_score_search,
@@ -1311,6 +1312,70 @@ def test_graph_only_commands_load_no_numpy(fixdir, command):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == stdout
     assert proc.stderr.splitlines()[-1] == "numpy loaded: False"
+
+
+# refuses every scipy import in the process it is installed in
+NO_SCIPY = """\
+import sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"refused: {name}")
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def test_discovery_runs_with_scipy_refused(datadir, capsys):
+    """The chi-square tail is computed without scipy: with every scipy
+    import refused, ci_test, pc, the BIC search and both `discover`
+    subcommands give what they give with scipy installed."""
+    script = NO_SCIPY + (
+        "from causalkit import DiscreteDataset, ci_test, cli, greedy_score_search, pc\n"
+        "ds = DiscreteDataset.load_csv('cc.csv')\n"
+        "print(repr(ci_test(ds, 'X', 'Y', ['Z']).p_value))\n"
+        "print(pc(ds).to_dict())\n"
+        "print(sorted(greedy_score_search(ds)[0].edges))\n"
+        "assert cli.main(['discover', 'pc', '--data', 'cc.csv']) == 0\n"
+        "assert cli.main(['discover', 'ges', '--data', 'cc.csv']) == 0\n"
+    )
+    src = str(Path(causalkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=datadir, capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    ds = DiscreteDataset.load_csv(datadir / "cc.csv")
+    expected = (
+        f"{ci_test(ds, 'X', 'Y', ['Z']).p_value!r}\n"
+        f"{pc(ds).to_dict()}\n"
+        f"{sorted(greedy_score_search(ds)[0].edges)}\n"
+    )
+    for command in ("pc", "ges"):
+        rc, out, _ = run(capsys, ["discover", command, "--data", str(datadir / "cc.csv")])
+        assert rc == 0
+        expected += out
+    assert proc.stdout == expected
+
+
+def test_discover_pc_loads_no_scipy(datadir):
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['causalkit', 'discover', 'pc', '--data', 'cc.csv']\n"
+        "try:\n"
+        "    runpy.run_module('causalkit.cli', run_name='__main__', alter_sys=True)\n"
+        "finally:\n"
+        "    print(sorted(m for m in sys.modules if m.startswith('scipy')),\n"
+        "          file=sys.stderr)\n"
+    )
+    src = str(Path(causalkit.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=datadir, capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("directed: X->Z, Y->Z, Z->W\n")
+    assert proc.stderr.splitlines()[-1] == "[]"
 
 
 # -- requests past a fixed budget ------------------------------------------------------

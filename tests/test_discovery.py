@@ -326,6 +326,42 @@ def test_pc_argument_validation():
         pc_skeleton()
     with pytest.raises(SchemaMismatch):
         pc_skeleton(ci_fn=lambda a, b, z: True)
+    # a negative size used to run no test and return the complete skeleton
+    with pytest.raises(SchemaMismatch):
+        pc_skeleton(ci_fn=lambda a, b, z: True, variables="XY", max_cond_size=-1)
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [
+        {"alpha": math.nan},
+        {"alpha": -1},
+        {"alpha": 0.0},
+        {"alpha": 1.0},
+        {"min_expected": math.nan},
+        {"min_expected": -1},
+    ],
+)
+def test_levels_the_cli_refuses_are_refused(levels):
+    # a NaN alpha used to mark every pair dependent, and a NaN min_expected
+    # switched the sparse-cell guard off; the CLI refuses both
+    ds = fx.collider_chain_scm().sample(500, seed=0)
+    with pytest.raises(SchemaMismatch):
+        ci_test(ds, "X", "Y", **levels)
+    with pytest.raises(SchemaMismatch):
+        pc_skeleton(ds, **levels)
+    with pytest.raises(SchemaMismatch):
+        pc(ds, **levels)
+    with pytest.raises(SchemaMismatch):
+        pc(ci_fn=lambda a, b, z: True, variables="XY", **levels)
+
+
+def test_levels_the_cli_accepts_are_accepted():
+    ds = fx.collider_chain_scm().sample(500, seed=0)
+    assert ci_test(ds, "X", "Z", alpha=1e-300, min_expected=0.0).dof == 1
+    with pytest.raises(InsufficientData):  # every expected count is below inf
+        ci_test(ds, "X", "Z", alpha=0.999, min_expected=math.inf)
+    pc(ci_fn=lambda a, b, z: True, variables="XY", alpha=0.999, min_expected=math.inf)
 
 
 # -- conflicting v-structures --------------------------------------------------------
