@@ -4,7 +4,9 @@ All estimators are complete-case: a record is used only when every column the
 estimator touches is observed. `backdoor_adjust` computes the adjustment sum
 Σ_z P(y|x,z)·P(z); `backdoor_adjust_ratio` computes the algebraically equal
 joint-count route Σ_z P(x,y,z)/P(x|z) so the two can cross-check each other.
-Both are full double precision; nothing is rounded internally.
+Both are full double precision; nothing is rounded internally. The treatment
+and the outcome must be two columns outside the adjustment set or strata;
+`check_roles` refuses any other query before a row is counted.
 """
 
 from __future__ import annotations
@@ -27,6 +29,18 @@ Sign = int  # +1, -1, or 0
 def _check_value(ds: DiscreteDataset, column: str, value: str) -> None:
     if value not in ds.column_states(column):
         raise UnknownState(column, value)
+
+
+def check_roles(x: str, y: str, z: Sequence[str]) -> None:
+    """Raise SchemaMismatch unless treatment x and outcome y are distinct
+    columns and neither is among the conditioning columns z."""
+    if x == y:
+        raise SchemaMismatch(f"treatment and outcome are the same column {x!r}")
+    for role, name in (("treatment", x), ("outcome", y)):
+        if name in z:
+            raise SchemaMismatch(
+                f"{role} column {name!r} is also among the conditioning columns {list(z)}"
+            )
 
 
 def empirical_conditional(
@@ -70,6 +84,7 @@ def backdoor_adjust(
     With `laplace` a +1 smoothing is applied to the stratum conditionals and
     stratum weights instead (exploratory use only).
     """
+    check_roles(x, y, z)
     _check_value(ds, x, x_val)
     _check_value(ds, y, y_val)
     zcols = list(z)
@@ -114,6 +129,7 @@ def backdoor_adjust_ratio(
     Algebraically identical to `backdoor_adjust`; kept as an independent
     computational route for cross-checking.
     """
+    check_roles(x, y, z)
     _check_value(ds, x, x_val)
     _check_value(ds, y, y_val)
     zcols = list(z)
@@ -186,6 +202,7 @@ def detect_simpson_reversal(
     Every stratum present in the data must contain both treatment arms;
     a one-armed stratum raises EmptyStratum.
     """
+    check_roles(x, y, z)
     arms = ds.column_states(x)
     if len(arms) != 2:
         raise SchemaMismatch(

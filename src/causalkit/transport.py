@@ -100,7 +100,9 @@ def stratified_debias(
     the plain conditional P(y | x).
     """
     from .data import marginal_counts
+    from .estimation import check_roles
 
+    check_roles(x, y, strata)
     if x_val not in ds.column_states(x):
         raise UnknownState(x, x_val)
     if y_val not in ds.column_states(y):

@@ -870,6 +870,30 @@ def test_invalid_effects_file_is_exit_2(tmp_path, capsys):
     assert "not a valid effects file" in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate", "do", "--x", "treatment=A", "--y", "recovery=1", "--adjust", "recovery"],
+        ["estimate", "do", "--x", "treatment=A", "--y", "recovery=1", "--adjust", "treatment"],
+        ["estimate", "do", "--x", "recovery=1", "--y", "recovery=1"],
+        ["estimate", "do", "--smooth", "--x", "treatment=A", "--y", "recovery=1",
+         "--adjust", "recovery"],
+        ["estimate", "do", "--ratio", "--x", "treatment=A", "--y", "recovery=1",
+         "--adjust", "severity", "recovery"],
+        ["estimate", "ace", "--x", "treatment", "--treat", "A", "--control", "B",
+         "--y", "recovery=1", "--adjust", "recovery"],
+        ["estimate", "simpson", "--x", "treatment", "--y", "recovery=1",
+         "--strata", "treatment"],
+        ["debias", "--x", "treatment=A", "--y", "recovery=1", "--strata", "recovery"],
+    ],
+)
+def test_overlapping_roles_are_exit_1(fixdir, capsys, args):
+    rc, out, err = run(capsys, args + ["--data", str(fixdir / "kidney.csv")])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: SchemaMismatch: ")
+    assert "same column" in err or "conditioning columns" in err
+
+
 def test_unnormalized_weights_are_exit_1(tmp_path, capsys):
     bad = tmp_path / "effects.json"
     bad.write_text(

@@ -6,6 +6,9 @@ oracle's bit for bit: joint counts on random tables (missing cells, unsorted
 declared states, declared-but-unseen states, all-missing columns, no complete
 rows), with and without a `where` row filter, chi-square tests, BIC count
 sums, whole greedy traces, and every adjustment estimator's value or error.
+The counts' keys must also come in raveled-code order, on which the
+estimators' float sums depend, on edge-case, derived, nearly-all-distinct
+and very wide tables as well.
 """
 
 import tracemalloc
@@ -23,6 +26,7 @@ from causalkit import (
     DiscreteDataset,
     EmptySelection,
     InsufficientData,
+    SchemaMismatch,
     ci_test,
     discovery,
     greedy_score_search,
@@ -49,6 +53,13 @@ def tables(draw):
     return DiscreteDataset(columns, rows, states if draw(st.booleans()) else None)
 
 
+def code_order(ds, names, counts):
+    """The keys of `counts` in raveled-code order over `names`: by the first
+    name's state index, then the second's, and so on."""
+    states = [ds.column_states(n) for n in names]
+    return sorted(counts, key=lambda key: [s.index(v) for s, v in zip(states, key)])
+
+
 def outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -63,6 +74,7 @@ def test_kernel_equals_counter_route_on_random_tables(data):
     names = data.draw(st.lists(st.sampled_from(ds.columns), max_size=4))
     got = ds.counts(names)
     assert got == oracle.counts(ds, names)
+    assert list(got) == code_order(ds, names, oracle.counts(ds, names))
     assert 0 not in got.values()
     assert ds.project(names) == oracle.project(ds, names)
 
@@ -70,7 +82,10 @@ def test_kernel_equals_counter_route_on_random_tables(data):
     where = data.draw(
         st.dictionaries(st.sampled_from(ds.columns), st.sampled_from(LABELS + ["zz"]))
     )
-    assert ds.counts(names, where=where) == oracle.counts(ds, names, where)
+    got = ds.counts(names, where=where)
+    want = oracle.counts(ds, names, where)
+    assert got == want
+    assert list(got) == code_order(ds, names, want)
 
     distinct = list(dict.fromkeys(names))
     if len(distinct) >= 2:
@@ -105,6 +120,118 @@ def test_where_keeps_rows_in_the_given_states():
     assert ds.counts(["y"], where={"gone": "a"}) == {}
     for where in ({"x": "1"}, {"x": "2"}, {"gone": "a"}, {"r": "0", "x": "0"}):
         assert ds.counts(["y"], where=where) == oracle.counts(ds, ["y"], where)
+
+
+def probe():
+    return DiscreteDataset(
+        ["A", "B"],
+        [("1", "y"), ("0", "x"), ("0", None)],
+        {"A": ("0", "1"), "B": ("y", "x", "w")},
+    )
+
+
+def test_edge_cases_keep_their_counts():
+    ds = probe()
+    twice = ds.counts(["A", "A"])
+    assert list(twice.items()) == [(("0", "0"), 2), (("1", "1"), 1)]
+    # keys follow the declared state order, not the label order
+    assert list(ds.counts(["B", "A"]).items()) == [(("y", "1"), 1), (("x", "0"), 1)]
+    assert ds.counts([]) == {(): 3}
+    assert ds.counts([], where={"B": "x"}) == {(): 1}
+    assert ds.counts([], where={"B": "w"}) == {}
+    # where on a column that is also counted
+    assert ds.counts(["A", "B"], where={"A": "0"}) == {("0", "x"): 1}
+    assert ds.counts(["A"], where={"A": "1", "B": "y"}) == {("1",): 1}
+    # a state B does not declare, another column's or no column's, selects no row
+    assert ds.counts(["A"], where={"B": "1"}) == {}
+    assert ds.counts(["A"], where={"B": "zz"}) == {}
+    for names, where in [
+        (["A", "A"], None), ([], None), ([], {"B": "x"}), (["A", "B"], {"A": "0"}),
+        (["A"], {"B": "1"}),
+    ]:
+        assert ds.counts(names, where) == oracle.counts(ds, names, where)
+
+
+def test_empty_tables_count_alike():
+    no_rows = DiscreteDataset(["A", "B"], [], {"A": ("0", "1"), "B": ("x",)})
+    assert no_rows.counts(["A", "B"]) == {}
+    assert no_rows.counts([]) == {}
+    assert no_rows.counts(["A"], where={"B": "x"}) == {}
+    no_columns = DiscreteDataset([], [(), (), ()])
+    assert no_columns.counts([]) == {(): 3}
+    assert DiscreteDataset([], []).counts([]) == {}
+    for ds in (no_rows, no_columns):
+        assert ds.counts([]) == oracle.counts(ds, [])
+
+
+def test_unknown_columns_are_schema_errors():
+    ds = probe()
+    ds.counts(["A"])
+    with pytest.raises(SchemaMismatch, match="no column named 'C'"):
+        ds.counts(["A", "C"])
+    with pytest.raises(SchemaMismatch, match="no column named 'C'"):
+        ds.counts(["A"], where={"C": "0"})
+
+
+def test_a_derived_dataset_counts_its_own_rows():
+    parent = probe()
+    assert parent.counts(["A", "B"]) == {("0", "x"): 1, ("1", "y"): 1}
+    child = parent.with_columns({"C": ["a", None, "b"]}, {"C": ("b", "a")})
+    for names in (["C"], ["A", "C"], ["C", "B"], ["A", "B", "C"]):
+        assert child.counts(names) == oracle.counts(child, names)
+        assert list(child.counts(names)) == code_order(
+            child, names, oracle.counts(child, names)
+        )
+    assert child.counts(["A"], where={"C": "a"}) == {("1",): 1}
+    # the parent's grouping is its own, before and after the child's
+    assert parent.counts(["A", "B"]) == oracle.counts(parent, ["A", "B"])
+    with pytest.raises(SchemaMismatch):
+        parent.counts(["C"])
+
+
+def test_nearly_all_distinct_records_count_as_the_oracle_does():
+    rng = np.random.default_rng(11)
+    columns = [f"v{i}" for i in range(6)]
+    labels = tuple(str(s) for s in range(10))
+    codes = rng.integers(-1, 10, size=(100_000, 6))
+    rows = [tuple(labels[c] if c >= 0 else None for c in r) for r in codes.tolist()]
+    ds = DiscreteDataset(columns, rows, {c: labels for c in columns})
+    assert len(set(rows)) > 90_000
+    for names, where in [
+        (columns, None),
+        (columns[::-1], None),
+        (["v2", "v0"], None),
+        (columns[:4], {"v5": "3"}),
+        ([], {"v1": "0", "v2": "9"}),
+    ]:
+        got, want = ds.counts(names, where), oracle.counts(ds, names, where)
+        assert got == want
+        assert list(got) == code_order(ds, names, want)
+
+
+def test_repeated_records_keep_their_counts_past_an_int64_overflow():
+    # four ids per three-state column (missing is one), so the running id
+    # space passes 2**63 at the 32nd column and is relabelled, twice over 80
+    rng = np.random.default_rng(5)
+    columns = [f"v{i:02d}" for i in range(80)]
+    labels = ("a", "b", "c")
+    distinct = [
+        tuple(None if c < 0 else labels[c] for c in row)
+        for row in rng.integers(-1, 3, size=(60, 80)).tolist()
+    ]
+    rows = [r for r in distinct for _ in range(rng.integers(1, 6))]
+    rng.shuffle(rows)
+    ds = DiscreteDataset(columns, rows, {c: labels for c in columns})
+    for names, where in [
+        (columns, None),
+        (["v79"], None),
+        (["v31", "v32", "v00"], None),
+        (["v70", "v05"], {"v40": "b"}),
+        ([], {"v33": "c"}),
+    ]:
+        got, want = ds.counts(names, where), oracle.counts(ds, names, where)
+        assert got == want
+        assert list(got) == code_order(ds, names, want)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -254,6 +254,12 @@ def test_marginalization():
     assert yx.prob(("1", "0")) == pytest.approx(0.2)
 
 
+def test_marginal_on_an_unknown_variable_names_it():
+    table = ProbTable(("x", "y"), {("0", "0"): 0.5, ("1", "1"): 0.5})
+    with pytest.raises(SchemaMismatch, match="no variable named 'C'"):
+        table.marginal(["x", "C"])
+
+
 def test_l1_distance():
     a = ProbTable(("x",), {("0",): 0.5, ("1",): 0.5})
     b = ProbTable(("x",), {("0",): 0.75, ("1",): 0.25})

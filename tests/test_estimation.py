@@ -182,6 +182,46 @@ def test_adjustment_input_validation():
         backdoor_adjust(empty, "x", "0", "y", "1", [])
 
 
+# x, y, z: columns in roles an adjustment cannot give them
+OVERLAPPING_ROLES = [
+    ("treatment", "recovery", ["recovery"]),
+    ("treatment", "recovery", ["treatment"]),
+    ("treatment", "recovery", ["severity", "treatment"]),
+    ("recovery", "recovery", []),
+    ("treatment", "treatment", ["severity"]),
+]
+
+
+@pytest.mark.parametrize("x, y, z", OVERLAPPING_ROLES)
+@pytest.mark.parametrize("laplace", [False, True])
+def test_backdoor_adjust_refuses_overlapping_roles(x, y, z, laplace):
+    ds = fx.kidney_dataset()
+    with pytest.raises(SchemaMismatch, match="same column|conditioning columns"):
+        backdoor_adjust(ds, x, ds.column_states(x)[0], y, "1", z, laplace=laplace)
+
+
+@pytest.mark.parametrize("x, y, z", OVERLAPPING_ROLES)
+def test_backdoor_adjust_ratio_refuses_overlapping_roles(x, y, z):
+    ds = fx.kidney_dataset()
+    with pytest.raises(SchemaMismatch, match="same column|conditioning columns"):
+        backdoor_adjust_ratio(ds, x, ds.column_states(x)[0], y, "1", z)
+
+
+@pytest.mark.parametrize("x, y, z", OVERLAPPING_ROLES)
+def test_compute_ace_refuses_overlapping_roles(x, y, z):
+    ds = fx.kidney_dataset()
+    treat, control = ds.column_states(x)[:2]
+    with pytest.raises(SchemaMismatch, match="same column|conditioning columns"):
+        compute_ace(ds, x, treat, control, y, "1", z)
+
+
+@pytest.mark.parametrize("x, y, z", OVERLAPPING_ROLES)
+def test_simpson_refuses_overlapping_roles(x, y, z):
+    ds = fx.kidney_dataset()
+    with pytest.raises(SchemaMismatch, match="same column|conditioning columns"):
+        detect_simpson_reversal(ds, x, y, "1", z)
+
+
 @given(
     st.lists(
         st.integers(min_value=1, max_value=30),

@@ -10,6 +10,7 @@ from causalkit import (
     DiscreteDataset,
     EmptySelection,
     EmptyStratum,
+    SchemaMismatch,
     StratumEffects,
     UnknownState,
     WeightMismatch,
@@ -130,6 +131,20 @@ def test_debias_errors():
     )
     with pytest.raises(EmptyStratum):
         stratified_debias(unobserved, "x", "1", "y", "1", ["s"])
+
+
+@pytest.mark.parametrize(
+    "x, y, strata",
+    [
+        ("test", "antibody", ["antibody"]),
+        ("test", "antibody", ["risk", "test"]),
+        ("test", "test", ["risk"]),
+    ],
+)
+def test_debias_refuses_overlapping_roles(x, y, strata):
+    ds = fx.covid_study_dataset(2_000, 3)
+    with pytest.raises(SchemaMismatch, match="same column|conditioning columns"):
+        stratified_debias(ds, x, "1", y, "1", strata)
 
 
 def test_debias_error_for_out_of_range_x():
