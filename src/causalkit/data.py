@@ -5,9 +5,9 @@ per column: a code indexes the column's state tuple, and -1 marks a missing
 cell. Every count is taken on those codes by `DiscreteDataset.counts`: on
 its first call a dataset groups its rows into distinct records, each with
 the number of rows holding it, and every count after that is a tally of
-those few records weighted by their multiplicities. The
-label view, in which a cell is its string state label and a missing cell is
-None (MISSING), is built on first use. CSV files carry a header row, and
+those records weighted by their multiplicities. The label view, in which
+a cell is its string state label and a missing cell is None (MISSING), is
+built on first use. CSV files carry a header row, and
 empty or "NA" cells read back as missing. Column state spaces are either
 declared explicitly (e.g. by the sampler, so states unseen in a finite
 sample stay known) or inferred as the sorted distinct observed labels.
@@ -231,7 +231,7 @@ class DiscreteDataset:
             codes = {}
             for c in reversed(self.columns):
                 ids, code = np.divmod(ids, len(self.states[c]) + 1)
-                codes[c] = code - 1
+                codes[c] = (code - 1).astype(self.codes[c].dtype)
                 if c in relabelled:
                     ids = relabelled[c][ids]
             self._grouped = codes, multiplicity
@@ -246,12 +246,14 @@ class DiscreteDataset:
         holding them; a state outside its column's states matches no row.
 
         The count runs over the dataset's distinct records, each weighted by
-        how many rows hold it (see `_records`), so its cost follows the
-        number of distinct records rather than rows. The kept records are
-        sorted by their codes over `names`, equal runs are summed, and only
-        the observed cells are decoded to labels.
+        how many rows hold it (see `_records`): a table of few distinct
+        records is tallied without re-reading its rows, while one whose
+        records are nearly all distinct is tallied over about as many
+        records as rows. The kept records are sorted by their codes over
+        `names` and equal runs are summed; the observed cells, a table of at
+        most that many rows, are then projected to labels.
         """
-        labels = [self.column_states(n) for n in names]
+        states = {n: self.column_states(n) for n in names}
         records, multiplicity = self._records()
         keep = np.ones(len(multiplicity), dtype=bool)
         for name in names:
@@ -274,11 +276,13 @@ class DiscreteDataset:
             start[1:] |= col[1:] != col[:-1]
         first = np.flatnonzero(start)
         tally = np.add.reduceat(weights, first) if len(first) else weights
-        cells = [
-            [states[i] for i in col[first].tolist()] for states, col in zip(labels, cols)
-        ]
-        keys = zip(*cells) if names else [()]
-        return Counter(dict(zip(keys, tally.tolist())))
+        table = DiscreteDataset._from_codes(
+            dict.fromkeys(names),
+            {n: col[first] for n, col in zip(names, cols)},
+            states,
+            len(tally),
+        )
+        return Counter(dict(zip(table.project(names), tally.tolist())))
 
     def with_columns(
         self, new_columns: Mapping[str, Sequence[Optional[str]]],

@@ -207,6 +207,9 @@ def test_nearly_all_distinct_records_count_as_the_oracle_does():
         got, want = ds.counts(names, where), oracle.counts(ds, names, where)
         assert got == want
         assert list(got) == code_order(ds, names, want)
+    # the cached records keep each column's code dtype, not the id's
+    records, _ = ds._records()
+    assert all(records[c].dtype == ds.codes[c].dtype for c in columns)
 
 
 def test_repeated_records_keep_their_counts_past_an_int64_overflow():
@@ -232,6 +235,9 @@ def test_repeated_records_keep_their_counts_past_an_int64_overflow():
         got, want = ds.counts(names, where), oracle.counts(ds, names, where)
         assert got == want
         assert list(got) == code_order(ds, names, want)
+    # the cached records keep each column's code dtype, not the id's
+    records, _ = ds._records()
+    assert all(records[c].dtype == ds.codes[c].dtype for c in columns)
 
 
 @pytest.mark.parametrize("seed", range(6))
