@@ -73,6 +73,8 @@ def ci_test(
     _check_levels(alpha, min_expected)
 
     zcols = sorted(z)
+    if x in zcols or y in zcols:
+        raise SchemaMismatch(f"z must not hold x or y, got z = {zcols}")
     counts = ds.counts([x, y] + zcols)
     if not counts:
         raise EmptySelection(f"no complete rows over {[x, y] + zcols}")

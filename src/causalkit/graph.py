@@ -9,10 +9,11 @@ the level the toolkit needs them.
 
 Blocking semantics: a chain or fork is blocked when its middle node is
 conditioned on; a collider blocks unless the collider itself or one of its
-descendants is conditioned on. `is_d_separated` is implemented with the
-ancestral-moralization reduction rather than path enumeration, so it (and
-the backdoor criterion, decided through it) stays usable on graphs where
-enumerating paths would not be.
+descendants is conditioned on. d-separation, the backdoor criterion and
+do-calculus rule 1 are decided by one reachability walk (Bayes-ball) that
+realizes these rules without enumerating paths, in time linear in the
+edges, and that ignores the edges an intervention or a backdoor check cuts
+rather than building the cut graph.
 
 Path enumeration (`undirected_paths`, `backdoor_paths`) is exponential in
 the worst case, and its cost follows the steps of the search rather than the
@@ -27,8 +28,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .errors import (
     CycleDetected,
@@ -252,10 +252,7 @@ class CausalGraph:
     def _paths(self, x: str, y: str, first: tuple[str, ...]) -> list[Path]:
         """`undirected_paths` whose first arrow is in `first`: the search
         leaves x by those moves only, and spends no step on other paths."""
-        self._require(x)
-        self._require(y)
-        if x == y:
-            raise OverlappingSets({x})
+        self._disjoint({x}, {y})
 
         neighbors = {
             n: sorted([*((c, FORWARD) for c in self._children[n]),
@@ -323,53 +320,58 @@ class CausalGraph:
 
     # -- d-separation -------------------------------------------------------
 
+    def _disjoint(self, *groups: Iterable[str]) -> list[frozenset[str]]:
+        """`groups` as sets, once every name in them is known to the graph;
+        raises OverlappingSets if a name is in two of them."""
+        sets = [frozenset(g) for g in groups]
+        named = frozenset().union(*sets)
+        for name in named:
+            self._require(name)
+        if len(named) != sum(map(len, sets)):
+            raise OverlappingSets(
+                {n for i, a in enumerate(sets) for b in sets[i + 1:] for n in a & b}
+            )
+        return sets
+
+    def _d_connected(
+        self, xs: Iterable[str], zs: Container[str],
+        cut_out: Container[str] = (), cut_in: Container[str] = (),
+    ) -> set[str]:
+        """Every node outside zs joined to some x by a path that zs does not
+        block, ignoring the edges out of cut_out and into cut_in.
+
+        The Bayes-ball walk (Shachter, UAI 1998): a ball at a node not in zs
+        passes on to its children, and to its parents too if it came up from
+        a child; a ball at a node in zs bounces back to its parents if it
+        came down from one, which opens a collider with a descendant in zs.
+        Each node is entered at most once from each side.
+        """
+        reached: set[str] = set()
+        seen: set[tuple[str, bool]] = set()
+        stack = [(n, True) for n in xs]  # True: the ball came up from a child
+        while stack:
+            n, up = stack.pop()
+            if (n, up) in seen:
+                continue
+            seen.add((n, up))
+            given = n in zs
+            if not given:
+                reached.add(n)
+                if n not in cut_out:
+                    stack.extend((c, False) for c in self._children[n] if c not in cut_in)
+            if up != given and n not in cut_in:
+                stack.extend((p, True) for p in self._parents[n] if p not in cut_out)
+        return reached
+
     def is_d_separated(
         self, x: Iterable[str], y: Iterable[str], z: Iterable[str] = ()
     ) -> bool:
         """True iff every path between x-nodes and y-nodes is blocked by z.
 
-        The three argument sets must be pairwise disjoint. Computed on the
-        moralized ancestral graph of x ∪ y ∪ z, which realizes the same
-        blocking rules as path-by-path checking without enumerating paths.
+        The three argument sets must be pairwise disjoint.
         """
-        xs = frozenset(x)
-        ys = frozenset(y)
-        zs = frozenset(z)
-        for name in xs | ys | zs:
-            self._require(name)
-        overlap = (xs & ys) | (xs & zs) | (ys & zs)
-        if overlap:
-            raise OverlappingSets(overlap)
-        if not xs or not ys:
-            return True
-
-        relevant = set(xs | ys | zs)
-        for name in tuple(relevant):
-            relevant |= self.ancestors(name)
-
-        moral: dict[str, set[str]] = {n: set() for n in relevant}
-        for a, b in self.edges:
-            if a in relevant and b in relevant:
-                moral[a].add(b)
-                moral[b].add(a)
-        for n in relevant:
-            ps = [p for p in self._parents[n] if p in relevant]
-            for a, b in combinations(ps, 2):
-                moral[a].add(b)
-                moral[b].add(a)
-
-        blocked = zs
-        queue = deque(xs - blocked)
-        seen = set(queue)
-        while queue:
-            n = queue.popleft()
-            if n in ys:
-                return False
-            for m in moral[n]:
-                if m not in seen and m not in blocked:
-                    seen.add(m)
-                    queue.append(m)
-        return True
+        xs, ys, zs = self._disjoint(x, y, z)
+        return not self._d_connected(xs, zs) & ys
 
     # -- backdoor criterion and do-calculus checks ---------------------------
 
@@ -384,23 +386,15 @@ class CausalGraph:
         x and y are exactly the backdoor paths, and with no descendant of x
         in z each is blocked there iff it is blocked in the full graph.
         """
-        zset = frozenset(z)
-        for name in zset:
-            self._require(name)
-        if x in zset or y in zset:
-            raise OverlappingSets({x, y} & zset)
+        _, _, zset = self._disjoint({x}, {y}, z)
         if zset & self.descendants(x):
             return False
-        cut = CausalGraph(self.nodes, [(a, b) for a, b in self.edges if a != x])
-        return cut.is_d_separated({x}, {y}, zset)
+        return y not in self._d_connected({x}, zset, cut_out={x})
 
     def rule3_applicable(self, x: str, y: str) -> bool:
         """True iff do(x) can be deleted from P(y | do(x)): no directed path
         from x to y."""
-        self._require(x)
-        self._require(y)
-        if x == y:
-            raise OverlappingSets({x})
+        self._disjoint({x}, {y})
         return y not in self.descendants(x)
 
     def rule1_applicable(
@@ -409,30 +403,28 @@ class CausalGraph:
         """True iff observations w can be dropped from P(y | do(x_do), z, w).
 
         Checked as w d-separated from y given z in the do(x_do)-mutilated
-        graph; an empty w is degenerately removable.
+        graph; an empty w is degenerately removable. A latent x_do raises
+        NotSupported, as in `mutilate`.
         """
-        ws = frozenset(w)
-        zs = frozenset(z)
-        named = ws | zs | {y, x_do}
-        for name in named:
-            self._require(name)
-        if len(named) != len(ws) + len(zs) + 2:
-            raise OverlappingSets(named)
-        if not ws:
-            return True
-        return self.mutilate([x_do]).is_d_separated(ws, {y}, zs)
+        ws, zs, _, _ = self._disjoint(w, z, {y}, {x_do})
+        self._require_manipulable(x_do)
+        return y not in self._d_connected(ws, zs, cut_in={x_do})
 
     # -- surgery -------------------------------------------------------------
+
+    def _require_manipulable(self, name: str) -> None:
+        """Raises unless `name` is a node that can be intervened on."""
+        self._require(name)
+        if self._kind[name] is NodeKind.LATENT:
+            raise NotSupported(
+                f"{name} is latent; background factors cannot be intervened on"
+            )
 
     def mutilate(self, do_nodes: Iterable[str]) -> "CausalGraph":
         """Graph with all edges into the intervened nodes removed."""
         do = frozenset(do_nodes)
         for name in do:
-            self._require(name)
-            if self._kind[name] is NodeKind.LATENT:
-                raise NotSupported(
-                    f"{name} is latent; background factors cannot be intervened on"
-                )
+            self._require_manipulable(name)
         kept = [(a, b) for a, b in self.edges if b not in do]
         return CausalGraph(self.nodes, kept)
 

@@ -1,15 +1,19 @@
-"""Brute-force d-separation oracle used to cross-check the library.
+"""Two d-separation oracles used to cross-check the library.
 
-Deliberately independent of the package's graph machinery: graphs are plain
-edge sets, paths are enumerated by depth-first search over an undirected
-adjacency map, and each path is judged by applying the chain / fork /
-collider blocking rules to its interior nodes directly. The library reaches
-the same answers through ancestral moralization, so agreement between the
-two is a genuine two-algorithm check.
+Both are deliberately independent of the package's graph machinery: graphs
+are plain edge sets. `d_separated` enumerates paths by depth-first search
+over an undirected adjacency map and judges each one by applying the chain /
+fork / collider blocking rules to its interior nodes directly.
+`d_separated_moral` uses the ancestral-moralization reduction (Lauritzen et
+al. 1990): keep x, y, z and their ancestors, marry the parents of each kept
+node, drop directions, and ask whether removing z disconnects x from y. The
+library reaches the same answers by a third route, a Bayes-ball
+reachability walk, so agreement among the three is a three-algorithm check.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Sequence
 
 Edge = tuple[str, str]
@@ -95,4 +99,44 @@ def d_separated(
             for path in undirected_paths(nodes, edge_list, x, y):
                 if not path_blocked(path, edge_list, zset):
                     return False
+    return True
+
+
+def d_separated_moral(
+    nodes: Sequence[str],
+    edges: Iterable[Edge],
+    xs: Iterable[str],
+    ys: Iterable[str],
+    zs: Iterable[str],
+) -> bool:
+    """x and y are disconnected once z is removed from the moralized
+    ancestral graph of x, y and z."""
+    edge_list = list(edges)
+    xset, yset, zset = set(xs), set(ys), set(zs)
+    reversed_edges = [(b, a) for a, b in edge_list]
+    relevant: set[str] = set()
+    for n in xset | yset | zset:
+        relevant |= descendants(reversed_edges, n)
+
+    moral: dict[str, set[str]] = {n: set() for n in relevant}
+    parents: dict[str, list[str]] = {n: [] for n in relevant}
+    for a, b in edge_list:
+        if a in relevant and b in relevant:
+            moral[a].add(b)
+            moral[b].add(a)
+            parents[b].append(a)
+    for ps in parents.values():
+        for a, b in combinations(ps, 2):
+            moral[a].add(b)
+            moral[b].add(a)
+
+    seen = xset - zset
+    stack = list(seen)
+    while stack:
+        n = stack.pop()
+        if n in yset:
+            return False
+        for m in moral[n] - zset - seen:
+            seen.add(m)
+            stack.append(m)
     return True

@@ -1064,6 +1064,26 @@ def test_domain_error_is_exit_1(fixdir, capsys):
     assert err.startswith("error: UnknownNode")
 
 
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        ("backdoor-check --graph kidney_graph.json --x treatment --y nope --adjust recovery",
+         "UnknownNode"),
+        ("backdoor-check --graph kidney_graph.json --x treatment --y treatment --adjust recovery",
+         "OverlappingSets"),
+        ("identify --graph smoking_graph.json --x Genotype --y Lung_cancer", "NotSupported"),
+    ],
+    ids=["backdoor-unknown-y", "backdoor-y-is-x", "identify-latent-x"],
+)
+def test_graph_query_refuses_bad_arguments_with_exit_1(fixdir, capsys, command, error):
+    """Refused whatever the answer would be: z holds a descendant of x,
+    and w is empty."""
+    argv = [str(fixdir / a) if a.endswith(".json") else a for a in command.split()]
+    rc, out, err = run(capsys, argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {error}")
+
+
 def test_zero_evidence_is_exit_1(fixdir, capsys):
     rc, _, err = run(
         capsys,

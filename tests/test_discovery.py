@@ -113,6 +113,9 @@ def test_chi_square_input_errors():
     ds = dataset_from_counts(DEPENDENT_2X2, ["x", "y"])
     with pytest.raises(SchemaMismatch):
         ci_test(ds, "x", "x")
+    for z in (["x"], ["y", "x"]):
+        with pytest.raises(SchemaMismatch):
+            ci_test(ds, "x", "y", z)
     empty = DiscreteDataset(
         ["x", "y"], [(None, "0")], states={"x": ("0",), "y": ("0",)}
     )

@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from causalkit import (
     CausalGraph,
@@ -335,11 +337,14 @@ def test_backdoor_criterion_overlap_errors():
 
 
 def test_backdoor_criterion_argument_errors():
+    """Every argument is checked before the answer, also when z holds a
+    descendant of x (recovery), which alone would decide it."""
     graph = fx.kidney_graph()
-    with pytest.raises(OverlappingSets):
-        graph.satisfies_backdoor_criterion("treatment", "treatment")
-    with pytest.raises(UnknownNode):
-        graph.satisfies_backdoor_criterion("treatment", "nope")
+    for z in ((), {"recovery"}):
+        with pytest.raises(OverlappingSets):
+            graph.satisfies_backdoor_criterion("treatment", "treatment", z)
+        with pytest.raises(UnknownNode):
+            graph.satisfies_backdoor_criterion("treatment", "nope", z)
 
 
 def _check_backdoor_routes(graph, pairs):
@@ -384,6 +389,43 @@ def test_backdoor_matches_path_routes_on_every_small_dag():
     assert count == 29281
 
 
+@st.composite
+def _dag_and_sets(draw):
+    """A DAG on 2 to 9 nodes, its causal order hidden from the names, and
+    three disjoint node sets x, y, z, the first two non-empty."""
+    names = [f"v{i}" for i in range(draw(st.integers(2, 9)))]
+    order = draw(st.permutations(names))
+    edges = [(a, b) for i, a in enumerate(order) for b in order[i + 1:] if draw(st.booleans())]
+    roles = draw(st.lists(st.sampled_from("xyz-"), min_size=len(names), max_size=len(names)))
+    xs, ys, zs = ({n for n, r in zip(names, roles) if r == role} for role in "xyz")
+    assume(xs and ys)
+    return names, edges, xs, ys, zs
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_dag_and_sets())
+def test_walk_with_cuts_matches_both_oracles(case):
+    """d-separation, the backdoor criterion and rule 1 against the path-rule
+    and moralization oracles, each run on the edges the query keeps: all of
+    them, all but x's out-edges, all but x_do's in-edges."""
+    names, edges, xs, ys, zs = case
+    graph = g(names, edges)
+    x, y = min(xs), min(ys)
+    desc = dsep_oracle.descendants(edges, x) - {x}
+    without_out = [(a, b) for a, b in edges if a != x]
+    do = sorted(set(names) - xs - zs - {y})
+    for oracle in (oracle_d_separated, dsep_oracle.d_separated_moral):
+        assert graph.is_d_separated(xs, ys, zs) == oracle(names, edges, xs, ys, zs)
+        assert graph.satisfies_backdoor_criterion(x, y, zs) == (
+            not desc & zs and oracle(names, without_out, {x}, {y}, zs)
+        )
+        if do:
+            without_in = [(a, b) for a, b in edges if b != do[0]]
+            assert graph.rule1_applicable(y, do[0], xs, zs) == oracle(
+                names, without_in, xs, {y}, zs
+            )
+
+
 def test_backdoor_check_is_fast_on_a_dense_30_node_dag():
     rng = random.Random(3)
     names = [f"n{i:02d}" for i in range(30)]
@@ -397,6 +439,8 @@ def test_backdoor_check_is_fast_on_a_dense_30_node_dag():
     start = time.process_time()
     assert graph.satisfies_backdoor_criterion(x, y, parents)
     assert not graph.satisfies_backdoor_criterion(x, y)
+    # do(x) cuts the edges into x, but p -> y still joins a parent of x to y
+    assert not graph.rule1_applicable(y, x, parents)
     elapsed = time.process_time() - start
     assert elapsed < 0.1, f"{elapsed:.3f} s of CPU time"
 
@@ -436,6 +480,12 @@ def test_mutilate_removes_incoming_edges_only():
 def test_mutilate_rejects_latent_targets():
     with pytest.raises(NotSupported):
         fx.smoking_graph().mutilate({"Genotype"})
+
+
+def test_rule1_rejects_a_latent_do_node_whatever_w():
+    for w in ((), {"Smoking"}):
+        with pytest.raises(NotSupported):
+            fx.smoking_graph().rule1_applicable("Lung_cancer", "Genotype", w)
 
 
 # -- serialization ---------------------------------------------------------------
