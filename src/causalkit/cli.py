@@ -36,7 +36,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
-from .errors import CausalKitError
+from .errors import CausalKitError, NotSupported
 
 if TYPE_CHECKING:
     from .data import DiscreteDataset
@@ -181,7 +181,10 @@ def _cmd_backdoor_check(args, graph):
 
 
 def _cmd_identify(args, graph):
-    rule3 = graph.rule3_applicable(args.x, args.y)
+    try:
+        rule3 = graph.rule3_applicable(args.x, args.y)
+    except NotSupported:  # a latent x: rule 1 refuses it once w and z check out
+        rule3 = None
     rule1 = graph.rule1_applicable(args.y, args.x, args.w, args.given)
     payload = {
         "x": args.x,

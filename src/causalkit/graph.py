@@ -393,8 +393,9 @@ class CausalGraph:
 
     def rule3_applicable(self, x: str, y: str) -> bool:
         """True iff do(x) can be deleted from P(y | do(x)): no directed path
-        from x to y."""
+        from x to y. A latent x raises NotSupported, as in `mutilate`."""
         self._disjoint({x}, {y})
+        self._require_manipulable(x)
         return y not in self.descendants(x)
 
     def rule1_applicable(

@@ -227,7 +227,7 @@ def apply_missingness(
     import numpy as np
 
     from .data import DiscreteDataset
-    from .scm import draw_codes
+    from .scm import draw_codes, inverse_cdf
 
     g = mg.graph
     for v in mg.partial:
@@ -267,7 +267,8 @@ def apply_missingness(
                 )
         spaces = [states[p] for p in cpt.parents]
         codes[r] = draw_codes(
-            cpt.table(spaces), [codes[p] for p in cpt.parents], spaces, len(ds), rng
+            inverse_cdf(cpt.table(spaces), spaces), [codes[p] for p in cpt.parents],
+            len(ds), rng,
         )
         states[r] = cpt.states
     for v, (r, _) in mg.partial.items():

@@ -3,10 +3,12 @@
 A model binds one conditional probability table to every non-latent node and a
 marginal distribution to every latent node (latent nodes are exogenous, so
 they must be roots). Each CPT is laid out once, at construction, as one dense
-table; exact queries run by variable elimination over its slices; sampling is
-ancestral, one draw per parent configuration present, with numpy's PCG64
-generator and fully determined by the seed; interventions replace a node's
-table with a point mass on the mutilated graph.
+table, and as the CDF the sampler inverts; exact queries run by variable
+elimination over the table's slices; sampling is ancestral, one uniform stream
+per node from numpy's PCG64 generator, fully determined by the seed and equal
+to one `Generator.choice` per parent configuration present; interventions
+replace the do-nodes' tables with point masses on the mutilated graph and
+keep every other node's.
 
 Models have no node or state cap. Query time grows with the model's treewidth,
 so each exact query first plans a min-weight elimination order and counts the
@@ -22,11 +24,11 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from operator import getitem
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .data import DiscreteDataset
+from .data import DiscreteDataset, _code_dtype
 from .errors import (
     InvalidCpt,
     ModelTooLarge,
@@ -169,8 +171,10 @@ class DiscreteScm:
             raise InvalidCpt(f"tables for unknown nodes: {sorted(extra)}")
 
         # with all state spaces known, lay each CPT out over its parents'
-        # states once its row count is known to match their combinations
+        # states once its row count is known to match their combinations,
+        # and its CDF for sampling beside it
         self._tables: dict[str, np.ndarray] = {}
+        self._cdfs: dict[str, InverseCdf] = {}
         for name, cpt in table.items():
             spaces = [table[p].states for p in cpt.parents]
             size = math.prod(map(len, spaces))
@@ -187,6 +191,7 @@ class DiscreteScm:
                 raise InvalidCpt(
                     f"{name}: CPT row {key} is outside the parent state space"
                 ) from None
+            self._cdfs[name] = inverse_cdf(self._tables[name], spaces)
         self._cpts = table
 
     # -- basics ---------------------------------------------------------
@@ -285,20 +290,18 @@ class DiscreteScm:
 
     def intervene(self, do: Assignment) -> "DiscreteScm":
         """Model after do(X=x): edges into each do-node cut, its table a
-        point mass."""
+        point mass. Every other node keeps its CPT and the arrays laid out
+        from it, since its parents and their states are unchanged."""
         self._check_assignment(do)
-        new_graph = self.graph.mutilate(do)
-        latent = set(self.graph.nodes_of_kind(NodeKind.LATENT))
-        cpts: dict[str, Cpt] = {}
-        latent_dists: dict[str, dict[str, float]] = {}
-        for name, cpt in self._cpts.items():
-            if name in do:
-                cpts[name] = Cpt.point_mass(name, cpt.states, do[name])
-            elif name in latent:
-                latent_dists[name] = dict(zip(cpt.states, cpt.rows[()]))
-            else:
-                cpts[name] = cpt
-        return DiscreteScm(new_graph, cpts, latent_dists)
+        model = DiscreteScm.__new__(DiscreteScm)
+        model.graph = self.graph.mutilate(do)
+        model._cpts, model._tables, model._cdfs = (
+            dict(self._cpts), dict(self._tables), dict(self._cdfs))
+        for name, value in do.items():
+            cpt = model._cpts[name] = Cpt.point_mass(name, self._cpts[name].states, value)
+            table = model._tables[name] = cpt.table(())
+            model._cdfs[name] = inverse_cdf(table, ())
+        return model
 
     # -- sampling -------------------------------------------------------------
 
@@ -317,8 +320,7 @@ class DiscreteScm:
         arrays: dict[str, np.ndarray] = {}
         for name in self.graph.topological_order():
             parents = self._cpts[name].parents
-            arrays[name] = draw_codes(self._tables[name], [arrays[p] for p in parents],
-                                      [self._cpts[p].states for p in parents], n, rng)
+            arrays[name] = draw_codes(self._cdfs[name], [arrays[p] for p in parents], n, rng)
 
         emitted = [
             node.name
@@ -369,28 +371,71 @@ def _elimination_plan(
     return steps
 
 
+class InverseCdf(NamedTuple):
+    """A `Cpt.table` laid out for `draw_codes`. Row r of `cdf` holds, for
+    the parent configuration ranked r in sorted label order, the cumulative
+    probabilities of the node's states but the last, built as
+    `Generator.choice` builds them; it is stored column by column. `sizes`
+    are the parents' state counts. `ranks[i]` takes parent i's codes to the
+    ranks of their labels in sorted order, or is None where the labels are
+    declared sorted. `dtype` is the node's code type."""
+
+    cdf: np.ndarray
+    sizes: tuple[int, ...]
+    ranks: tuple[np.ndarray | None, ...]
+    dtype: np.dtype
+
+
+def inverse_cdf(table: np.ndarray, parent_states: Sequence[Sequence[str]]) -> InverseCdf:
+    """The InverseCdf of a `Cpt.table` laid out over `parent_states`."""
+    configs, k = math.prod(table.shape[:-1]), table.shape[-1]
+    orders = [sorted(range(len(s)), key=s.__getitem__) for s in parent_states]
+    cdf = table[np.ix_(*orders)].reshape(configs, k).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return InverseCdf(
+        np.ascontiguousarray(cdf[:, :-1].T),
+        tuple(map(len, orders)),
+        tuple(None if list(states) == sorted(states)
+              else np.argsort(order).astype(_key_dtype(configs))
+              for states, order in zip(parent_states, orders)),
+        _code_dtype(range(k)),
+    )
+
+
+def _key_dtype(configs: int) -> np.dtype:
+    """The narrowest unsigned type holding every configuration's rank and
+    every parent's state count, so numpy's stable argsort can take its radix
+    route on keys of at most 16 bits."""
+    return np.min_scalar_type(configs)
+
+
 def draw_codes(
-    table: np.ndarray,
-    parent_codes: Sequence[np.ndarray],
-    parent_states: Sequence[Sequence[str]],
-    n: int,
-    rng: np.random.Generator,
+    inverse: InverseCdf, parent_codes: Sequence[np.ndarray], n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """State codes drawn for n records from a `Cpt.table` over
-    `parent_states`, given the records' parent state codes: one
-    `rng.choice` per parent configuration present, in sorted label order."""
-    shape = table.shape[:-1]
-    if not shape:  # a root: its one configuration holds every record
-        return rng.choice(table.shape[-1], size=n, p=table)
-    config = np.ravel_multi_index(parent_codes, shape)
-    counts = np.bincount(config)
-    present = np.flatnonzero(counts).tolist()
-    labels = (tuple(map(getitem, parent_states, np.unravel_index(c, shape)))
-              for c in present)
-    rows = table.reshape(-1, table.shape[-1])
-    out = np.zeros(n, dtype=np.int64)
-    for _, c in sorted(zip(labels, present)):
-        out[config == c] = rng.choice(rows.shape[1], size=counts[c], p=rows[c])
+    """State codes drawn for n records, given the records' parent state
+    codes, by inversion of one `rng.random(n)` (Devroye 1986, 2.1).
+
+    The records take the uniforms in (parent configuration's sorted labels,
+    record index) order, and a record's code is the number of its
+    configuration's CDF entries at or below its uniform. That is what one
+    `rng.choice(k, size=m, p=row)` per configuration present, in sorted label
+    order, returns: choice compares `random(m)` with the same CDF through
+    `searchsorted(side="right")`, and back-to-back `random` calls read the
+    generator's stream as one call does."""
+    cdf, sizes, ranks, dtype = inverse
+    u = rng.random(n)
+    key = None
+    if sizes:
+        key = np.zeros(n, _key_dtype(cdf.shape[1]))
+        for size, rank, codes in zip(sizes, ranks, parent_codes):
+            key *= size
+            key += codes.astype(key.dtype) if rank is None else rank[codes]
+        spread = np.empty(n)
+        spread[np.argsort(key, kind="stable")] = u
+        u = spread
+    out = np.zeros(n, dtype)
+    for column in cdf:  # a root's columns hold one entry each
+        out += (column if key is None else column[key]) <= u
     return out
 
 

@@ -22,6 +22,7 @@ rounded or hoped-for number; README's "Tests" section holds the derivations:
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -32,6 +33,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+import causalkit
 import dsep_oracle
 from causalkit import (
     CausalGraph,
@@ -471,6 +473,10 @@ ARTIFACT_CODECS = {
 def test_criterion_11_reproduction_script(tmp_path):
     with criterion(11, "reproduction script exits 0; artifacts round-trip"):
         artifacts = tmp_path / "artifacts"
+        # the child imports the package under test, installed or not
+        src = str(Path(causalkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [
                 sys.executable,
@@ -480,6 +486,7 @@ def test_criterion_11_reproduction_script(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "FAIL" not in proc.stdout

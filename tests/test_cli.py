@@ -1072,8 +1072,11 @@ def test_domain_error_is_exit_1(fixdir, capsys):
         ("backdoor-check --graph kidney_graph.json --x treatment --y treatment --adjust recovery",
          "OverlappingSets"),
         ("identify --graph smoking_graph.json --x Genotype --y Lung_cancer", "NotSupported"),
+        ("identify --graph smoking_graph.json --x Genotype --y Lung_cancer --w nope",
+         "UnknownNode"),
     ],
-    ids=["backdoor-unknown-y", "backdoor-y-is-x", "identify-latent-x"],
+    ids=["backdoor-unknown-y", "backdoor-y-is-x", "identify-latent-x",
+         "identify-latent-x-unknown-w"],
 )
 def test_graph_query_refuses_bad_arguments_with_exit_1(fixdir, capsys, command, error):
     """Refused whatever the answer would be: z holds a descendant of x,

@@ -488,6 +488,11 @@ def test_rule1_rejects_a_latent_do_node_whatever_w():
             fx.smoking_graph().rule1_applicable("Lung_cancer", "Genotype", w)
 
 
+def test_rule3_rejects_a_latent_do_node():
+    with pytest.raises(NotSupported):
+        fx.smoking_graph().rule3_applicable("Genotype", "Lung_cancer")
+
+
 # -- serialization ---------------------------------------------------------------
 
 

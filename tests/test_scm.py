@@ -37,7 +37,7 @@ from causalkit import (
 )
 import causalkit
 from causalkit import fixtures as fx
-from causalkit.scm import QUERY_BUDGET, _elimination_plan, draw_codes
+from causalkit.scm import QUERY_BUDGET, _elimination_plan, draw_codes, inverse_cdf
 
 import sample_oracle
 
@@ -312,6 +312,27 @@ def test_rule3_invariance_on_sprinkler():
     obs = scm.probability({"Rain": "1"})
     done = scm.intervene({"Sprinkler": "1"}).probability({"Rain": "1"})
     assert abs(obs - done) < 1e-9
+
+
+def test_intervene_keeps_untouched_tables_and_answers_as_a_rebuilt_model():
+    """Only the do-node's arrays are laid out again; the model queries and
+    samples as one built from the mutilated graph and a point-mass CPT."""
+    scm = latent_confounder_scm()
+    cut = scm.intervene({"X": "1"})
+    for name in ("U", "Y"):
+        assert cut.cpt(name) is scm.cpt(name)
+        assert cut._tables[name] is scm._tables[name]
+        assert cut._cdfs[name] is scm._cdfs[name]
+    built = DiscreteScm(
+        scm.graph.mutilate({"X"}),
+        {"X": Cpt.point_mass("X", ("0", "1"), "1"), "Y": scm.cpt("Y")},
+        {"U": {"0": 0.5, "1": 0.5}},
+    )
+    assert cut == built
+    for event in ({"Y": "1"}, {"U": "0", "Y": "0"}, {"X": "0"}, {"X": "1", "Y": "1"}):
+        assert cut.probability(event) == built.probability(event)
+    assert cut.sample(500, seed=4, include_latent=True) == built.sample(
+        500, seed=4, include_latent=True)
 
 
 def test_intervene_on_latent_rejected():
@@ -763,35 +784,50 @@ def test_sampler_matches_the_per_row_oracle(case):
     cpt, declared, codes, n, seed = case
     want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = sample_oracle.draw_codes(cpt, codes, declared, n, want_rng)
-    got = draw_codes(cpt.table(declared), codes, declared, n, got_rng)
+    got = draw_codes(inverse_cdf(cpt.table(declared), declared), codes, n, got_rng)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert got_rng.random() == want_rng.random()
 
 
+WIDE_MODEL = """
+    import itertools
+    from causalkit import CausalGraph, Cpt, DiscreteScm
+    parents = tuple(f"P{i}" for i in range(7))
+    five = tuple("01234")
+    cpts = {p: Cpt(p, (), five, {(): (0.2,) * 5}) for p in parents}
+    cpts["Y"] = Cpt("Y", parents, ("0", "1"), {
+        combo: (1 - i % 7 / 8, i % 7 / 8)
+        for i, combo in enumerate(itertools.product(five, repeat=7))
+    })
+    graph = CausalGraph([*parents, "Y"], [(p, "Y") for p in parents])
+    scm = DiscreteScm(graph, cpts)
+"""
+
+
 def test_wide_table_samples_and_queries_in_time():
     """Seven 5-state roots feeding a binary Y, 78,125 CPT rows. Sampling
-    draws once per parent configuration present and queries slice the
-    table built at construction; the per-row sampler spent 1 s on
-    sample(10) alone."""
+    reads the CDF and queries slice the table built at construction; the
+    per-row sampler spent 1 s on sample(10) alone."""
     out, _ = cpu_bounded_child("""
         scm.sample(10, seed=0)
         scm.sample(1000, seed=1)
         print(repr([scm.probability({"Y": "1"}) for _ in range(20)][-1]))
-    """, 0.25, setup="""
-        import itertools
-        from causalkit import CausalGraph, Cpt, DiscreteScm
-        parents = tuple(f"P{i}" for i in range(7))
-        five = tuple("01234")
-        cpts = {p: Cpt(p, (), five, {(): (0.2,) * 5}) for p in parents}
-        cpts["Y"] = Cpt("Y", parents, ("0", "1"), {
-            combo: (1 - i % 7 / 8, i % 7 / 8)
-            for i, combo in enumerate(itertools.product(five, repeat=7))
-        })
-        graph = CausalGraph([*parents, "Y"], [(p, "Y") for p in parents])
-        scm = DiscreteScm(graph, cpts)
-    """)
+    """, 0.25, setup=WIDE_MODEL)
     want = sum(i % 7 / 8 for i in range(5**7)) / 5**7
     assert float(out[0]) == pytest.approx(want, rel=1e-12)
+
+
+def test_wide_table_draws_many_records_in_time():
+    """sample(100_000) on the wide model sorts the records by configuration
+    once; one mask and one choice per configuration present took about 4 s."""
+    out, _ = cpu_bounded_child("""
+        ds = scm.sample(100_000, seed=2)
+        print(len(ds), int(ds.codes["Y"].sum()))
+    """, 0.5, setup=WIDE_MODEL)
+    n, ones = map(int, out[0].split())
+    want = sum(i % 7 / 8 for i in range(5**7)) / 5**7
+    assert n == 100_000
+    assert abs(ones / n - want) < 4 * (want * (1 - want) / n) ** 0.5
 
 
 # -- serialization -----------------------------------------------------------------
