@@ -340,10 +340,15 @@ def simulate(
     draw_state = len(states) > 1
 
     choose, observe, random = policy.choose, policy.observe, rng.random
-    rounds: list[Round] = []
-    cum: list[float] = []
+    # the log is allocated up front, so a horizon too long to log fails
+    # before the first round rather than after running out of room
+    try:
+        rounds = [None] * horizon
+        cum = [0.0] * horizon
+    except MemoryError:
+        raise MemoryError(f"a log of {horizon} rounds does not fit") from None
     regret = 0.0
-    for _ in range(horizon):
+    for t in range(horizon):
         s = int(cdf.searchsorted(random(), side="right")) if draw_state else 0
         intent = intents[s]
         arm = choose(rng, intent=intent, state=states[s])
@@ -353,8 +358,8 @@ def simulate(
         reward = int(random() < p)
         observe(arm, reward, intent=intent)
         regret += benchmark[s] - p
-        rounds.append(Round(arm, reward, intent))
-        cum.append(regret)
+        rounds[t] = Round(arm, reward, intent)
+        cum[t] = regret
     return RunResult(
         policy=getattr(policy, "name", type(policy).__name__),
         rounds=tuple(rounds),

@@ -28,12 +28,10 @@ budget.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import importlib
 import json
 import sys
 from operator import attrgetter
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from .errors import CausalKitError, NotSupported
@@ -132,6 +130,10 @@ def _ranged(kind, ok, expected: str):
 
 
 _COUNT = _ranged(int, lambda v: v >= 0, "an integer >= 0")
+# a count of records or rounds: past sys.maxsize // 8, numpy and list refuse
+# an array of 8-byte entries with ValueError or OverflowError, not MemoryError
+_SIZE = _ranged(int, lambda v: 0 <= v <= sys.maxsize // 8,
+                f"an integer from 0 to {sys.maxsize // 8}")
 _PROBABILITY = _ranged(float, lambda v: 0.0 <= v <= 1.0, "a probability in [0, 1]")
 _LEVEL = _ranged(float, lambda v: 0.0 < v < 1.0, "a level in (0, 1)")
 _NONNEGATIVE = _ranged(float, lambda v: v >= 0, "a number >= 0")
@@ -481,14 +483,10 @@ def _cmd_discover_ges(args, ds):
 def _cmd_fixtures(args):
     from . import fixtures
 
-    dest = Path(args.dest)
-    # a directory that cannot be made fails the first write, which names it
-    with contextlib.suppress(OSError):
-        dest.mkdir(parents=True, exist_ok=True)
-    files = fixtures.fixture_files()
-    for name, text in files.items():
-        _write(dest / name, text)
-    written = [str(dest / name) for name in files]
+    try:
+        written = list(map(str, fixtures.write_all(args.dest)))
+    except OSError as exc:
+        raise _FileError(f"cannot write {exc.filename or args.dest}: {exc}") from exc
     return {"written": written}, [f"wrote {p}" for p in written]
 
 
@@ -546,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     scm_sub = scm_p.add_subparsers(dest="subcommand", required=True)
 
     p = _command(scm_sub, "sample", "draw records by ancestral sampling", _MODEL)
-    p.add_argument("--n", type=_COUNT, required=True)
+    p.add_argument("--n", type=_SIZE, required=True)
     p.add_argument("--seed", type=_COUNT, required=True)
     p.add_argument("--save", help="write CSV here instead of stdout")
     p.add_argument("--include-latent", action="store_true")
@@ -627,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("greedy", "epsilon", "thompson", "causal_thompson", "uniform", "oracle"),
     )
-    p.add_argument("--horizon", type=_COUNT, required=True)
+    p.add_argument("--horizon", type=_SIZE, required=True)
     p.add_argument("--seed", type=_COUNT, required=True)
     p.add_argument("--epsilon", type=_PROBABILITY, default=0.1)
     p.add_argument("--benchmark", choices=("conditional", "marginal"), default="conditional")

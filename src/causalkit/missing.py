@@ -219,7 +219,9 @@ def apply_missingness(
     Each indicator's CPT must have states ("0", "1") with 1 meaning missing,
     parents equal to its parents in the m-graph, and a row for every
     combination of parent states the dataset declares (rows for other states
-    go unused); parent values are read from the unmasked data, so
+    go unused). It is laid out over those states by `scm.layout` and drawn
+    by `scm.draw_codes`, as a model's nodes are, in topological order from
+    one generator; parent values are read from the unmasked data, so
     self-masking mechanisms behave as wired.
     Returns a copy with masked cells set to Missing and one appended column
     per indicator.
@@ -227,7 +229,7 @@ def apply_missingness(
     import numpy as np
 
     from .data import DiscreteDataset
-    from .scm import draw_codes, inverse_cdf
+    from .scm import draw_codes, layout
 
     g = mg.graph
     for v in mg.partial:
@@ -266,10 +268,8 @@ def apply_missingness(
                     f"indicator parent {p!r} is not a dataset column"
                 )
         spaces = [states[p] for p in cpt.parents]
-        codes[r] = draw_codes(
-            inverse_cdf(cpt.table(spaces), spaces), [codes[p] for p in cpt.parents],
-            len(ds), rng,
-        )
+        codes[r] = draw_codes(layout(cpt, spaces), [codes[p] for p in cpt.parents],
+                              len(ds), rng)
         states[r] = cpt.states
     for v, (r, _) in mg.partial.items():
         codes[v] = np.where(codes[r] == 1, -1, ds.codes[v])

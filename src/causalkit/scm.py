@@ -2,13 +2,15 @@
 
 A model binds one conditional probability table to every non-latent node and a
 marginal distribution to every latent node (latent nodes are exogenous, so
-they must be roots). Each CPT is laid out once, at construction, as one dense
-table, and as the CDF the sampler inverts; exact queries run by variable
-elimination over the table's slices; sampling is ancestral, one uniform stream
-per node from numpy's PCG64 generator, fully determined by the seed and equal
-to one `Generator.choice` per parent configuration present; interventions
-replace the do-nodes' tables with point masses on the mutilated graph and
-keep every other node's.
+they must be roots). `layout` is the one place a CPT becomes arrays: at
+construction each node gets one record holding its CPT, its dense table, the
+CDF the sampler inverts and its parents' label ranks, and masking lays out
+indicator CPTs the same way. Exact queries run by variable elimination over
+the tables' slices; sampling is ancestral, one uniform stream per node from
+numpy's PCG64 generator, fully determined by the seed and equal to one
+`Generator.choice` per parent configuration present; interventions replace
+the do-nodes' records with point masses on the mutilated graph and keep
+every other node's.
 
 Models have no node or state cap. Query time grows with the model's treewidth,
 so each exact query first plans a min-weight elimination order and counts the
@@ -21,10 +23,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from operator import getitem
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -99,22 +101,6 @@ class Cpt:
             raise UnknownState(self.node, state)
         return self.rows[parent_vals][self.states.index(state)]
 
-    def table(self, parent_states: Sequence[Sequence[str]]) -> np.ndarray:
-        """The rows as one read-only array, indexed by the parents' state
-        codes in `parent_states`, then by the node's own. Rows for other
-        states are left out; a combination with no row raises InvalidCpt."""
-        codes = [{s: i for i, s in enumerate(states)} for states in parent_states]
-        rows = {tuple(map(dict.get, codes, key)): dist for key, dist in self.rows.items()}
-        shape = [len(states) for states in parent_states]
-        try:
-            table = np.array([rows[c] for c in product(*map(range, shape))])
-        except KeyError as gap:
-            combo = tuple(map(getitem, parent_states, gap.args[0]))
-            raise InvalidCpt(f"{self.node}: no CPT row for parent states {combo}") from None
-        table = table.reshape(*shape, len(self.states))
-        table.flags.writeable = False
-        return table
-
     @staticmethod
     def point_mass(node: str, states: Sequence[str], value: str) -> "Cpt":
         if value not in states:
@@ -171,10 +157,8 @@ class DiscreteScm:
             raise InvalidCpt(f"tables for unknown nodes: {sorted(extra)}")
 
         # with all state spaces known, lay each CPT out over its parents'
-        # states once its row count is known to match their combinations,
-        # and its CDF for sampling beside it
-        self._tables: dict[str, np.ndarray] = {}
-        self._cdfs: dict[str, InverseCdf] = {}
+        # states once its row count is known to match their combinations
+        self._nodes: dict[str, Layout] = {}
         for name, cpt in table.items():
             spaces = [table[p].states for p in cpt.parents]
             size = math.prod(map(len, spaces))
@@ -184,21 +168,19 @@ class DiscreteScm:
                     f"{size} combinations of parent states"
                 )
             try:
-                self._tables[name] = cpt.table(spaces)
+                self._nodes[name] = layout(cpt, spaces)
             except InvalidCpt:  # as many rows as combinations: one is outside
                 key = next(k for k in cpt.rows
                            if not all(map(tuple.__contains__, spaces, k)))
                 raise InvalidCpt(
                     f"{name}: CPT row {key} is outside the parent state space"
                 ) from None
-            self._cdfs[name] = inverse_cdf(self._tables[name], spaces)
-        self._cpts = table
 
     # -- basics ---------------------------------------------------------
 
     def cpt(self, name: str) -> Cpt:
         self.graph._require(name)
-        return self._cpts[name]
+        return self._nodes[name].cpt
 
     def states(self, name: str) -> tuple[str, ...]:
         return self.cpt(name).states
@@ -206,12 +188,12 @@ class DiscreteScm:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteScm):
             return NotImplemented
-        return self.graph == other.graph and self._cpts == other._cpts
+        return self.graph == other.graph and self._nodes == other._nodes
 
     def _check_assignment(self, assignment: Assignment) -> None:
         for node, state in assignment.items():
             self.graph._require(node)
-            if state not in self._cpts[node].states:
+            if state not in self._nodes[node].cpt.states:
                 raise UnknownState(node, state)
 
     # -- exact inference ---------------------------------------------------
@@ -238,8 +220,8 @@ class DiscreteScm:
         # topological order, not set order, fixes the plan and so the bits
         for name in (n for n in self.graph.topological_order() if n in keep):
             index, scope = [], []
-            for var in (*self._cpts[name].parents, name):
-                states = self._cpts[var].states
+            for var in (*self._nodes[name].cpt.parents, name):
+                states = self._nodes[var].cpt.states
                 if var in constraints:
                     index.append(states.index(constraints[var]))
                 elif len(states) == 1:
@@ -249,9 +231,9 @@ class DiscreteScm:
                 else:
                     index.append(slice(None))
                     scope.append(var)
-            tables.append(self._tables[name][tuple(index)])
+            tables.append(self._nodes[name].table[tuple(index)])
             scopes.append(tuple(scope))
-        sizes = {v: len(self._cpts[v].states) for v in keep}
+        sizes = {v: len(self._nodes[v].cpt.states) for v in keep}
         for ids, out in _elimination_plan(scopes, sizes):
             axis: dict[str, int] = {}
             operands = []
@@ -290,17 +272,14 @@ class DiscreteScm:
 
     def intervene(self, do: Assignment) -> "DiscreteScm":
         """Model after do(X=x): edges into each do-node cut, its table a
-        point mass. Every other node keeps its CPT and the arrays laid out
-        from it, since its parents and their states are unchanged."""
+        point mass. Every other node keeps its laid-out CPT, since its
+        parents and their states are unchanged."""
         self._check_assignment(do)
         model = DiscreteScm.__new__(DiscreteScm)
         model.graph = self.graph.mutilate(do)
-        model._cpts, model._tables, model._cdfs = (
-            dict(self._cpts), dict(self._tables), dict(self._cdfs))
+        model._nodes = dict(self._nodes)
         for name, value in do.items():
-            cpt = model._cpts[name] = Cpt.point_mass(name, self._cpts[name].states, value)
-            table = model._tables[name] = cpt.table(())
-            model._cdfs[name] = inverse_cdf(table, ())
+            model._nodes[name] = layout(Cpt.point_mass(name, self.states(name), value), ())
         return model
 
     # -- sampling -------------------------------------------------------------
@@ -319,8 +298,8 @@ class DiscreteScm:
         rng = np.random.default_rng(seed)
         arrays: dict[str, np.ndarray] = {}
         for name in self.graph.topological_order():
-            parents = self._cpts[name].parents
-            arrays[name] = draw_codes(self._cdfs[name], [arrays[p] for p in parents], n, rng)
+            node = self._nodes[name]
+            arrays[name] = draw_codes(node, [arrays[p] for p in node.cpt.parents], n, rng)
 
         emitted = [
             node.name
@@ -328,7 +307,7 @@ class DiscreteScm:
             if include_latent or node.kind is not NodeKind.LATENT
         ]
         return DiscreteDataset._from_codes(
-            emitted, arrays, {name: self._cpts[name].states for name in emitted}, n
+            emitted, arrays, {name: self.states(name) for name in emitted}, n
         )
 
 
@@ -371,49 +350,60 @@ def _elimination_plan(
     return steps
 
 
-class InverseCdf(NamedTuple):
-    """A `Cpt.table` laid out for `draw_codes`. Row r of `cdf` holds, for
-    the parent configuration ranked r in sorted label order, the cumulative
+@dataclass(frozen=True)
+class Layout:
+    """A CPT laid out by `layout`; two layouts are equal when their CPTs are.
+    `table` (read-only) holds P(node | parents) indexed by the parents' state
+    codes, then by the node's own. Row r of `cdf` holds, for the parent
+    configuration ranked r in sorted label order, the cumulative
     probabilities of the node's states but the last, built as
-    `Generator.choice` builds them; it is stored column by column. `sizes`
-    are the parents' state counts. `ranks[i]` takes parent i's codes to the
-    ranks of their labels in sorted order, or is None where the labels are
-    declared sorted. `dtype` is the node's code type."""
+    `Generator.choice` builds them; it is stored column by column.
+    `ranks[i]` takes parent i's codes to the ranks of their labels in sorted
+    order, or is None where the labels are declared sorted."""
 
-    cdf: np.ndarray
-    sizes: tuple[int, ...]
-    ranks: tuple[np.ndarray | None, ...]
-    dtype: np.dtype
+    cpt: Cpt
+    table: np.ndarray = field(compare=False)
+    cdf: np.ndarray = field(compare=False)
+    ranks: tuple[np.ndarray | None, ...] = field(compare=False)
 
 
-def inverse_cdf(table: np.ndarray, parent_states: Sequence[Sequence[str]]) -> InverseCdf:
-    """The InverseCdf of a `Cpt.table` laid out over `parent_states`."""
-    configs, k = math.prod(table.shape[:-1]), table.shape[-1]
+def layout(cpt: Cpt, parent_states: Sequence[Sequence[str]]) -> Layout:
+    """`cpt` laid out over `parent_states`, its parents' states in code
+    order. Rows for other states are left out; a combination with no row
+    raises InvalidCpt. Ranks take the narrowest unsigned type holding every
+    configuration's rank, as `draw_codes`' keys do, so numpy's stable
+    argsort can take its radix route on keys of at most 16 bits."""
+    codes = [{s: i for i, s in enumerate(states)} for states in parent_states]
+    rows = {tuple(map(dict.get, codes, key)): dist for key, dist in cpt.rows.items()}
+    shape = [len(states) for states in parent_states]
+    try:
+        table = np.array([rows[c] for c in product(*map(range, shape))])
+    except KeyError as gap:
+        combo = tuple(map(getitem, parent_states, gap.args[0]))
+        raise InvalidCpt(f"{cpt.node}: no CPT row for parent states {combo}") from None
+    configs, k = math.prod(shape), len(cpt.states)
+    table = table.reshape(*shape, k)
+    table.flags.writeable = False
     orders = [sorted(range(len(s)), key=s.__getitem__) for s in parent_states]
     cdf = table[np.ix_(*orders)].reshape(configs, k).cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    return InverseCdf(
+    return Layout(
+        cpt,
+        table,
         np.ascontiguousarray(cdf[:, :-1].T),
-        tuple(map(len, orders)),
         tuple(None if list(states) == sorted(states)
-              else np.argsort(order).astype(_key_dtype(configs))
+              else np.argsort(order).astype(np.min_scalar_type(configs))
               for states, order in zip(parent_states, orders)),
-        _code_dtype(range(k)),
     )
 
 
-def _key_dtype(configs: int) -> np.dtype:
-    """The narrowest unsigned type holding every configuration's rank and
-    every parent's state count, so numpy's stable argsort can take its radix
-    route on keys of at most 16 bits."""
-    return np.min_scalar_type(configs)
-
-
 def draw_codes(
-    inverse: InverseCdf, parent_codes: Sequence[np.ndarray], n: int, rng: np.random.Generator
+    node: Layout, parent_codes: Sequence[np.ndarray], n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """State codes drawn for n records, given the records' parent state
-    codes, by inversion of one `rng.random(n)` (Devroye 1986, 2.1).
+    """State codes of `node` drawn for n records, given the records' parent
+    state codes, by inversion of one `rng.random(n)` (Devroye 1986, 2.1).
+    The parents' state counts and the node's code type are read off
+    `node.table`'s shape.
 
     The records take the uniforms in (parent configuration's sorted labels,
     record index) order, and a record's code is the number of its
@@ -422,19 +412,19 @@ def draw_codes(
     order, returns: choice compares `random(m)` with the same CDF through
     `searchsorted(side="right")`, and back-to-back `random` calls read the
     generator's stream as one call does."""
-    cdf, sizes, ranks, dtype = inverse
+    *sizes, k = node.table.shape
     u = rng.random(n)
     key = None
     if sizes:
-        key = np.zeros(n, _key_dtype(cdf.shape[1]))
-        for size, rank, codes in zip(sizes, ranks, parent_codes):
+        key = np.zeros(n, np.min_scalar_type(node.cdf.shape[1]))
+        for size, rank, codes in zip(sizes, node.ranks, parent_codes):
             key *= size
             key += codes.astype(key.dtype) if rank is None else rank[codes]
         spread = np.empty(n)
         spread[np.argsort(key, kind="stable")] = u
         u = spread
-    out = np.zeros(n, dtype)
-    for column in cdf:  # a root's columns hold one entry each
+    out = np.zeros(n, _code_dtype(range(k)))
+    for column in node.cdf:  # a root's columns hold one entry each
         out += (column if key is None else column[key]) <= u
     return out
 

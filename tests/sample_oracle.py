@@ -4,11 +4,14 @@ This is the per-row loop the library ran before each table was laid out as
 one array: it walks every row of the CPT in sorted label order, builds an
 n-length mask over every parent column for it, and calls `rng.choice` once
 for each row that some record matches. A row whose parent states the data
-does not declare matches no record. The library instead makes one
-`rng.random(n)` per node, hands the uniforms to the records in the order
-these `choice` calls read them, and inverts each record's CDF row, so the
-two must return the same codes and leave the generator in the same state.
-Both return codes in the node's dataset code type.
+does not declare matches no record. The library instead lays each CPT out
+once through `scm.layout`, for a model's nodes and for masking's indicators
+alike, and its `draw_codes` makes one `rng.random(n)` per node, hands the
+uniforms to the records in the order these `choice` calls read them, and
+inverts each record's CDF row, so the two must return the same codes and
+leave the generator in the same state. Both return codes in the node's
+dataset code type. `tests/test_scm.py` compares them on drawn tables and
+`tests/test_missing.py` on drawn masks.
 """
 
 from __future__ import annotations

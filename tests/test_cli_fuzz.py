@@ -11,9 +11,11 @@ have, and numbers in or out of range. Required flags are sometimes left
 out. Every run goes through `cli.main` in-process and must return, or exit,
 with 0, 1 or 2, print no traceback, and stay within a CPU-time bound.
 
-`--n` and `--horizon` stay at 10^4 or below, because a valid huge count
-really asks for that many rows or rounds, and the 10^5-row covid study is
-never an input.
+`--n` and `--horizon` are drawn at 10^4 or below, or at one of four sizes
+no host can hold (10^15, 2^60 - 1, and the refused 2^60 and 2^64): any other
+valid count really asks for that many rows or rounds, and whether a few
+hundred GiB is refused at allocation depends on the host's overcommit
+setting. The 10^5-row covid study is never an input.
 """
 
 import argparse
@@ -56,6 +58,8 @@ STATES = sorted(
     {v for scm in SCMS for row in scm.sample(50, 0, include_latent=True).rows for v in row}
 ) + ["no-such-state", ""]
 BAD_COUNTS = ["-1", "1.5", "1e3", "nan", "", "x"]
+# too large for memory (exit 2 at allocation) or for the flag (exit 2 in argparse)
+HUGE_SIZES = [str(10**15), str(2**60 - 1), str(2**60), str(2**64)]
 REALS = ["0", "1", "0.5", "0.05", "1e-300", "-1", "2", "nan", "inf", "-inf", "", "x"]
 
 
@@ -183,8 +187,10 @@ def _values(draw, action, files, vocab):
             _mostly(names, st.sampled_from(STATES)),
             _mostly(st.just("="), st.just("")),
         )
-    elif action.dest in ("n", "horizon"):
-        one = _mostly(st.integers(0, 10**4).map(str), st.sampled_from(BAD_COUNTS))
+    elif action.type is cli._SIZE:
+        huge = st.sampled_from(HUGE_SIZES)
+        one = _mostly(st.one_of(st.integers(0, 10**4).map(str), huge),
+                      st.sampled_from(BAD_COUNTS))
     elif action.type is cli._COUNT:
         huge = st.sampled_from(["99999999999", str(2**64)])
         one = _mostly(st.one_of(st.integers(0, 5).map(str), huge), st.sampled_from(BAD_COUNTS))
@@ -254,6 +260,25 @@ def test_complete_graph_commands_exit_cleanly(files, argv):
     code, err = cpu_bounded(lambda: _run(argv + ["--graph", path]), 5.0)
     assert code in (0, 1, 2), (code, err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", HUGE_SIZES)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scm", "sample", "--model", "xy_scm.json", "--seed", "0", "--n"],
+        ["bandit", "sim", "--env", "bandit_two_arm.json", "--policy", "thompson",
+         "--seed", "0", "--horizon"],
+    ],
+    ids=["n", "horizon"],
+)
+def test_huge_sizes_exit_2_at_once(files, argv, size):
+    # st.data() takes no @example, so the sizes are pinned here
+    paths = {p.rsplit("/", 1)[1]: p for p in files["inputs"]}
+    argv = [paths.get(word, word) for word in argv] + [size]
+    code, err = cpu_bounded(lambda: _run(argv), 5.0)
+    assert code == 2, err
+    assert "error: " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

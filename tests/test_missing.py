@@ -1,8 +1,12 @@
 """M-graphs: mechanism classification, masking, recovery, testability."""
 
+import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalkit import (
     CausalGraph,
@@ -40,6 +44,7 @@ from causalkit.missing import (
     mask_cpts_to_json,
 )
 
+import sample_oracle
 from count_oracle import project as oracle_project
 
 XY_TRUTH = ProbTable(
@@ -282,6 +287,57 @@ def test_mask_positions_ignore_outcome_for_mcar_and_mar():
         ]
         poisoned = DiscreteDataset(src.columns, flipped_rows, src.states)
         assert apply_missingness(poisoned, mg, cpts, seed=13) == masked
+
+
+@st.composite
+def masking_cases(draw):
+    """One of the fixture m-graphs; X and Y declaring 1-4 states each in an
+    order that need not be sorted ("10" < "2"), some of them held by no
+    record; and indicator rates, some 0 or 1, with a row for a parent state
+    the data does not declare."""
+    mg = draw(st.sampled_from([fx.mgraph_mcar, fx.mgraph_mar, fx.mgraph_self_masking,
+                               fx.mgraph_two_sided]))()
+    states = {v: tuple(draw(st.lists(st.sampled_from(["1", "0", "10", "2"]), min_size=1,
+                                     max_size=4, unique=True)))
+              for v in ("X", "Y")}
+    rate = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+    cpts = {}
+    for r in mg.indicators():
+        parents = mg.graph.parents(r)
+        combos = itertools.product(*(states[p] + ("9",) for p in parents))
+        cpts[r] = Cpt(r, parents, BIN, {combo: (1 - p, p) for combo in combos
+                                        for p in [draw(rate)]})
+    n = draw(st.integers(0, 400))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32)))
+    held = {v: draw(st.lists(st.sampled_from(s), min_size=1, unique=True))
+            for v, s in states.items()}
+    rows = zip(*(gen.choice(held[v], size=n).tolist() for v in ("X", "Y")))
+    ds = DiscreteDataset(["X", "Y"], rows, states=states)
+    return mg, cpts, ds, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(masking_cases())
+def test_masking_matches_the_per_row_oracle(case):
+    """Each indicator column is the per-row loop's draw, taken in
+    topological order from one generator, which both leave in the same
+    state; exactly the cells whose indicator reads "1" are blank."""
+    mg, cpts, ds, seed = case
+    # default_rng hands a Generator back unaltered, so the test can see
+    # where the masking left the stream
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    masked = apply_missingness(ds, mg, cpts, got_rng)
+    for r in (n for n in mg.graph.topological_order() if n in mg.indicators()):
+        parents = cpts[r].parents
+        want = sample_oracle.draw_codes(
+            cpts[r], [ds.codes[p] for p in parents], [ds.states[p] for p in parents],
+            len(ds), want_rng)
+        assert masked.states[r] == BIN and masked.codes[r].tolist() == want.tolist()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    for v, (r, _) in mg.partial.items():
+        fired = masked.codes[r] == 1
+        assert ((masked.codes[v] == -1) == fired).all()
+        assert (masked.codes[v][~fired] == ds.codes[v][~fired]).all()
 
 
 # -- recovery ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from causalkit import (
 )
 import causalkit
 from causalkit import fixtures as fx
-from causalkit.scm import QUERY_BUDGET, _elimination_plan, draw_codes, inverse_cdf
+from causalkit.scm import QUERY_BUDGET, _elimination_plan, draw_codes, layout
 
 import sample_oracle
 
@@ -321,8 +321,7 @@ def test_intervene_keeps_untouched_tables_and_answers_as_a_rebuilt_model():
     cut = scm.intervene({"X": "1"})
     for name in ("U", "Y"):
         assert cut.cpt(name) is scm.cpt(name)
-        assert cut._tables[name] is scm._tables[name]
-        assert cut._cdfs[name] is scm._cdfs[name]
+        assert cut._nodes[name] is scm._nodes[name]
     built = DiscreteScm(
         scm.graph.mutilate({"X"}),
         {"X": Cpt.point_mass("X", ("0", "1"), "1"), "Y": scm.cpt("Y")},
@@ -784,7 +783,7 @@ def test_sampler_matches_the_per_row_oracle(case):
     cpt, declared, codes, n, seed = case
     want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = sample_oracle.draw_codes(cpt, codes, declared, n, want_rng)
-    got = draw_codes(inverse_cdf(cpt.table(declared), declared), codes, n, got_rng)
+    got = draw_codes(layout(cpt, declared), codes, n, got_rng)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert got_rng.random() == want_rng.random()
 
