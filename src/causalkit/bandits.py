@@ -3,13 +3,14 @@
 A BanditEnv fixes per-arm success probabilities, either flat or per
 confounder state. In the confounded case each state also determines the
 arm a naive player would reach for (the intent); policies observe the
-intent but never the state itself. The Thompson policies keep Beta(α, β)
-posteriors starting from (1, 1) as α and β lists over the arms, updated in
-place; regret is measured per round against the best arm given the
-realized confounder state (a marginal-optimum benchmark is available
-behind a flag). All randomness flows through one numpy PCG64 generator
-seeded explicitly, drawn one scalar at a time in a fixed order, so a seed
-fixes every draw of a run.
+intent but never the state itself. Each Thompson policy keeps a table of
+Beta(α, β) posteriors, one α list and one β list over the arms per key
+(None for the intent-blind policy, the intent for the causal one), created
+at (1, 1) on the key's first use and updated in place. Regret is measured
+per round against the best arm given the realized confounder state (a
+marginal-optimum benchmark is available behind a flag). All randomness
+flows through one numpy PCG64 generator seeded explicitly, drawn one
+scalar at a time in a fixed order, so a seed fixes every draw of a run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import io
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -121,34 +122,21 @@ class BanditEnv:
         )
 
 
-def thompson_step(
-    alphas: Sequence[float], betas: Sequence[float], rng: np.random.Generator
-) -> int:
-    """Draw Beta(alphas[i], betas[i]) for each arm, in arm order, and play the
-    first maximum; the scalar draws consume the stream as one array draw would."""
-    draws = list(map(rng.beta, alphas, betas))
-    return draws.index(max(draws))
+class ThompsonPolicy:
+    """Intent-blind Thompson sampling: one table under the key None."""
 
-
-def epsilon_greedy_step(
-    estimates: Sequence[float], epsilon: float, rng: np.random.Generator
-) -> int:
-    """Explore uniformly with probability epsilon, else play the first argmax."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon must lie in [0, 1]")
-    if epsilon > 0.0 and rng.random() < epsilon:
-        return int(rng.integers(len(estimates)))
-    return estimates.index(max(estimates))
-
-
-class _BetaTable:
-    """Beta(α, β) posteriors per (key, arm), starting from (1, 1):
-    `posteriors[key]` is the pair of α and β lists over the arms, created on
-    the key's first use and updated in place."""
+    name = "thompson"
 
     def reset(self, env: BanditEnv) -> None:
         arms = env.arms
         self.posteriors = defaultdict(lambda: ([1.0] * arms, [1.0] * arms))
+
+    def _play(self, key, rng: np.random.Generator) -> int:
+        """Draw Beta(α, β) for each arm of `key`'s table, in arm order, and
+        play the first maximum; the scalar draws consume the stream as one
+        array draw would."""
+        draws = list(map(rng.beta, *self.posteriors[key]))
+        return draws.index(max(draws))
 
     def _update(self, key, arm: int, reward: int) -> None:
         if reward not in (0, 1):
@@ -157,14 +145,8 @@ class _BetaTable:
         alphas[arm] += reward
         betas[arm] += 1 - reward
 
-
-class ThompsonPolicy(_BetaTable):
-    """Intent-blind Thompson sampling: one table under the key None."""
-
-    name = "thompson"
-
     def choose(self, rng, intent=None, state=None) -> int:
-        return thompson_step(*self.posteriors[None], rng)
+        return self._play(None, rng)
 
     def observe(self, arm: int, reward: int, intent=None) -> None:
         self._update(None, arm, reward)
@@ -193,7 +175,12 @@ class EpsilonGreedyPolicy:
         ]
 
     def choose(self, rng, intent=None, state=None) -> int:
-        return epsilon_greedy_step(self.estimates(), self.epsilon, rng)
+        """Explore uniformly with probability epsilon, else play the first
+        argmax of the estimates."""
+        if self.epsilon > 0.0 and rng.random() < self.epsilon:
+            return int(rng.integers(len(self.pulls)))
+        estimates = self.estimates()
+        return estimates.index(max(estimates))
 
     def observe(self, arm: int, reward: int, intent=None) -> None:
         self.pulls[arm] += 1
@@ -204,7 +191,7 @@ class EpsilonGreedyPolicy:
         self.observe(arm, reward)
 
 
-class CausalThompsonPolicy(_BetaTable):
+class CausalThompsonPolicy(ThompsonPolicy):
     """Thompson sampling with posteriors indexed by (intent, arm)."""
 
     name = "causal_thompson"
@@ -218,7 +205,7 @@ class CausalThompsonPolicy(_BetaTable):
         # one Thompson step over the posteriors conditioned on this round's
         # intent: for two arms, the intuition estimate E[reward | intent,
         # arm = intent] against the counter-intuition one
-        return thompson_step(*self.posteriors[intent], rng)
+        return self._play(intent, rng)
 
     def observe(self, arm: int, reward: int, intent=None) -> None:
         if intent is None:
@@ -261,14 +248,12 @@ def make_policy(name: str, epsilon: float = 0.1):
         "causal_thompson": CausalThompsonPolicy,
         "uniform": UniformPolicy,
         "oracle": OraclePolicy,
+        "greedy": lambda: EpsilonGreedyPolicy(0.0),
+        "epsilon": lambda: EpsilonGreedyPolicy(epsilon),
     }
-    if name == "greedy":
-        return EpsilonGreedyPolicy(0.0)
-    if name == "epsilon":
-        return EpsilonGreedyPolicy(epsilon)
-    if name in table:
-        return table[name]()
-    raise SchemaMismatch(f"unknown policy {name!r}")
+    if name not in table:
+        raise SchemaMismatch(f"unknown policy {name!r}")
+    return table[name]()
 
 
 class Round(NamedTuple):

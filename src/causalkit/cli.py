@@ -143,18 +143,17 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
-def _csv_result(ds: DiscreteDataset, save: Optional[str]):
-    """A table as CSV on stdout (rows in JSON), or written to `save`."""
-    csv_text = ds.to_csv()
-    if save:
-        _write(save, csv_text)
-        payload = {"rows": len(ds), "columns": list(ds.columns), "saved": save}
-        return payload, [f"wrote {len(ds)} rows to {save}"]
-    payload = {
-        "columns": list(ds.columns),
-        "rows": [[("" if v is None else v) for v in r] for r in ds.rows],
-    }
-    return payload, [csv_text.rstrip("\n")]
+def _csv_result(ds: DiscreteDataset, args):
+    """A table as CSV on stdout (rows in JSON), or written to `--save`. Only
+    the form that `main` prints is rendered; the other is None."""
+    if args.save:
+        _write(args.save, ds.to_csv())
+        payload = {"rows": len(ds), "columns": list(ds.columns), "saved": args.save}
+        return payload, [f"wrote {len(ds)} rows to {args.save}"]
+    if args.out == "json":
+        rows = [[("" if v is None else v) for v in r] for r in ds.rows]
+        return {"columns": list(ds.columns), "rows": rows}, None
+    return None, [ds.to_csv().rstrip("\n")]
 
 
 # -- handlers (args and loaded inputs in, (json_payload, text_lines) out) -------
@@ -207,7 +206,7 @@ def _cmd_identify(args, graph):
 
 def _cmd_scm_sample(args, scm):
     ds = scm.sample(args.n, args.seed, include_latent=args.include_latent)
-    return _csv_result(ds, args.save)
+    return _csv_result(ds, args)
 
 
 def _cmd_scm_query(args, scm):
@@ -362,7 +361,7 @@ def _cmd_missing_classify(args, mg):
 def _cmd_missing_mask(args, ds, mg, cpts):
     from .missing import apply_missingness
 
-    return _csv_result(apply_missingness(ds, mg, cpts, args.seed), args.save)
+    return _csv_result(apply_missingness(ds, mg, cpts, args.seed), args)
 
 
 def _cmd_missing_recover(args, ds, mg):
@@ -563,8 +562,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_assignment, required=True, metavar="X=VAL")
     p.add_argument("--y", type=_assignment, required=True, metavar="Y=VAL")
     p.add_argument("--adjust", nargs="*", default=[])
-    p.add_argument("--smooth", action="store_true", help="Laplace (+1) smoothing")
-    p.add_argument("--ratio", action="store_true", help="use the joint-ratio route")
+    route = p.add_mutually_exclusive_group()
+    route.add_argument("--smooth", action="store_true", help="Laplace (+1) smoothing")
+    route.add_argument("--ratio", action="store_true", help="use the joint-ratio route")
     _finish(p, _cmd_estimate_do)
 
     p = _command(est_sub, "ace", "average causal effect between two arms", _DATA)

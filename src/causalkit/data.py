@@ -170,7 +170,12 @@ class DiscreteDataset:
         for n in names:
             lookup = np.array(self.column_states(n) + (missing,), dtype=object)
             cols.append(lookup[self._column(n)].tolist())
-        return list(zip(*cols)) if names else [()] * self._n
+        if names:
+            return list(zip(*cols))
+        try:
+            return [()] * self._n
+        except MemoryError:
+            raise MemoryError(f"{self._n} rows of no columns do not fit") from None
 
     @property
     def rows(self) -> list[Row]:

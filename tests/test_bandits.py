@@ -95,6 +95,18 @@ def test_env_validation():
             confounder_probs=(0.5, 0.5),
             intuition={"0": 0, "1": 5},
         )
+    with pytest.raises(SchemaMismatch, match="nonempty and unique"):
+        BanditEnv(payout={}, confounder_states=(), confounder_probs=())
+    with pytest.raises(SchemaMismatch, match="nonempty and unique"):
+        BanditEnv(payout={"0": (0.5,)}, confounder_states=("0", "0"),
+                  confounder_probs=(0.5, 0.5))
+    with pytest.raises(SchemaMismatch, match="probabilities must match states"):
+        BanditEnv(payout={"0": (0.5,), "1": (0.5,)}, confounder_states=("0", "1"),
+                  confounder_probs=(1.0,))
+    with pytest.raises(SchemaMismatch, match="intuition must cover every"):
+        BanditEnv(payout={"0": (0.5, 0.5), "1": (0.5, 0.5)},
+                  confounder_states=("0", "1"), confounder_probs=(0.5, 0.5),
+                  intuition={"0": 0})
 
 
 def test_env_expectations():
@@ -109,6 +121,9 @@ def test_env_expectations():
     assert env.expected("0", 0) == pytest.approx(0.1)
     with pytest.raises(UnknownArm):
         env.expected("0", 7)
+    for arm in (-1, env.arms):
+        with pytest.raises(UnknownArm):
+            env.marginal_expected(arm)
 
 
 def test_two_arm_env_shape():
@@ -200,6 +215,20 @@ def test_causal_thompson_needs_intent():
     env = fx.two_arm_env()
     with pytest.raises(MissingIntent):
         simulate(env, make_policy("causal_thompson"), horizon=10, seed=0)
+    # simulate asks choose first, so observe's own check is reached only directly
+    policy = CausalThompsonPolicy()
+    policy.reset(fx.paradoxical_env())
+    with pytest.raises(MissingIntent):
+        policy.observe(0, 1)
+
+
+def test_thompson_policies_refuse_a_reward_outside_0_1():
+    env = fx.paradoxical_env()
+    for policy, intent in ((ThompsonPolicy(), None), (CausalThompsonPolicy(), 0)):
+        policy.reset(env)
+        for reward in (-1, 2):
+            with pytest.raises(ValueError, match="reward must be 0 or 1"):
+                policy.observe(0, reward, intent=intent)
 
 
 def test_causal_thompson_beats_standard_when_confounded():

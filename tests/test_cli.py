@@ -372,6 +372,18 @@ def test_estimate_do_ratio_and_smooth(fixdir, capsys):
     assert smooth["estimate"] == pytest.approx(expected, abs=1e-15)
 
 
+def test_estimate_do_refuses_ratio_with_smooth(fixdir, capsys):
+    # the ratio route has no smoothing, so the pair is a usage error
+    argv = ["estimate", "do", "--data", str(fixdir / "kidney.csv"), "--x", "treatment=A",
+            "--y", "recovery=1", "--adjust", "severity", "--ratio", "--smooth"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --smooth: not allowed with argument --ratio" in captured.err
+
+
 def test_estimate_ace(fixdir, capsys):
     payload = run_json(
         capsys,
@@ -1454,3 +1466,15 @@ def test_out_of_memory_is_exit_2(fixdir, capsys):
     assert out == ""
     assert err.startswith("error: out of memory: ")
     assert "Traceback" not in err
+
+
+def test_out_of_memory_names_the_rows_of_a_dataset_without_columns(tmp_path, capsys):
+    # a model with no nodes samples no codes; only the n empty rows fail
+    path = tmp_path / "empty_scm.json"
+    path.write_text(json.dumps({"nodes": [], "edges": [], "cpts": {}}))
+    argv = ["scm", "sample", "--model", str(path), "--n", str(10**15), "--seed", "0"]
+    for out_format in ("text", "json"):
+        rc, out, err = cpu_bounded(lambda: run(capsys, argv + ["--out", out_format]), 5)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: out of memory: {10**15} rows of no columns do not fit\n"

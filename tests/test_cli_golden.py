@@ -365,7 +365,7 @@ HELP_SHA256 = {
     "discover pc": "a6589209c20a592a15d7554d704252e1015f93a52b75ff7b5c1deb322825dbc3",
     "dsep": "15ad4242a982b396857c5edab058282301847609668706b19f0ed417b2a3f48f",
     "estimate ace": "34e68a0972978c62b604ce57260b712f24af96700c46e902f257916878c91443",
-    "estimate do": "2e114a9a13e44d7f9ee4cc40be779e8e9cc87afb7ab20d033133a4710dbbf415",
+    "estimate do": "f050b638484ed918501eb9e90a3a7eaf903eb39475c6bb7c0466cb065f4d0921",
     "estimate simpson": "f5082761f0607cdab490617f8979c2d95bd499b0df97b24bd34612380bd09659",
     "fixtures": "e14f05e72024ae0a3eea0c2f1312fb44d6b505761d42ca44a6332c54fe757088",
     "identify": "f683a1b104658f4e6f80656dc794a28332c67bbf4a6c2398b5fb982c08feec1a",

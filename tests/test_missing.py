@@ -111,6 +111,10 @@ def test_mgraph_validation_errors():
     with pytest.raises(SchemaMismatch):
         # indicator bound as if it were the partial variable
         MGraph(base.graph, {"Ry": ("Y", "Ystar")})
+    with pytest.raises(SchemaMismatch, match="'Ystar' must be a miss_indicator node"):
+        MGraph(base.graph, {"Y": ("Ystar", "Ry")})
+    with pytest.raises(SchemaMismatch, match="'X' must be a proxy node"):
+        MGraph(base.graph, {"Y": ("Ry", "X")})
     # stray (unbound) indicator/proxy nodes are rejected
     with pytest.raises(SchemaMismatch):
         MGraph(base.graph, {})
@@ -240,6 +244,13 @@ def test_apply_missingness_input_checks():
     }
     with pytest.raises(SchemaMismatch):
         apply_missingness(ds, mg, bad_parents, seed=0)
+    misfiled = {"Ry": Cpt("Rx", ("X",), BIN, {("0",): (0.9, 0.1), ("1",): (0.5, 0.5)})}
+    with pytest.raises(SchemaMismatch, match="CPT under key 'Ry' is for node 'Rx'"):
+        apply_missingness(ds, mg, misfiled, seed=0)
+    # Ry's parent X is not a column of a table that holds only Y
+    only_y = DiscreteDataset(["Y"], [("0",), ("1",)])
+    with pytest.raises(SchemaMismatch, match="indicator parent 'X' is not a dataset column"):
+        apply_missingness(only_y, mg, cpts, seed=0)
     already_masked = apply_missingness(ds, mg, cpts, seed=0)
     with pytest.raises(SchemaMismatch):
         apply_missingness(already_masked, mg, cpts, seed=0)
@@ -398,6 +409,17 @@ def test_recover_on_a_table_without_rows_is_an_empty_selection():
     for mg in (fx.mgraph_mcar(), fx.mgraph_two_sided()):
         with pytest.raises(EmptyStratum):
             recover_joint(mg, masked_ds(["X", "Y", "Rx", "Ry"], []), ["X", "Y"])
+
+
+def test_recover_skips_a_declared_cause_state_no_row_holds():
+    rows = [("0", "0", "0"), ("0", "1", "0"), ("1", "1", "0"), ("1", None, "1")]
+    declared = DiscreteDataset(
+        ["X", "Y", "Ry"], rows, states={"X": ("0", "1", "2"), "Y": BIN, "Ry": BIN}
+    )
+    table = recover_joint(fx.mgraph_mar(), declared, ["X", "Y"])
+    assert table == recover_joint(fx.mgraph_mar(), masked_ds(["X", "Y", "Ry"], rows),
+                                  ["X", "Y"])
+    assert table.prob(("2", "0")) == table.prob(("2", "1")) == 0.0
 
 
 def test_recover_family_d_hand_computed():
@@ -580,6 +602,22 @@ def test_unmatched_patterns():
     wired = MGraph(graph3, {"X": ("Rx", "Xstar"), "Y": ("Ry", "Ystar")})
     with pytest.raises(UnmatchedPattern):
         recover_joint(wired, ds, ["X", "Y"])
+
+    # a latent node fits none of the families
+    latent = CausalGraph(
+        ["X", "Y", Node("U", NodeKind.LATENT), Node("Ry", NodeKind.MISS_INDICATOR),
+         Node("Ystar", NodeKind.PROXY)],
+        [("X", "Y"), ("U", "Y"), ("U", "Ry"), ("Y", "Ystar"), ("Ry", "Ystar")],
+    )
+    with pytest.raises(UnmatchedPattern, match="latent nodes present"):
+        recover_joint(MGraph(latent, {"Y": ("Ry", "Ystar")}), ds, ["X", "Y"])
+    # a partially observed cause needs a partially observed outcome too
+    cause_only = CausalGraph(
+        ["X", "Y", Node("Rx", NodeKind.MISS_INDICATOR), Node("Xstar", NodeKind.PROXY)],
+        [("X", "Y"), ("X", "Xstar"), ("Rx", "Xstar")],
+    )
+    with pytest.raises(UnmatchedPattern, match=r"unsupported partial set \['X'\]"):
+        recover_joint(MGraph(cause_only, {"X": ("Rx", "Xstar")}), ds, ["X", "Y"])
 
 
 # -- testability -----------------------------------------------------------------------

@@ -421,6 +421,21 @@ def test_exact_queries_match_the_enumeration_oracle(data):
             enumerate_probability(model, joint) / den, **close)
 
 
+def test_single_state_parents_take_no_einsum_label():
+    """60 one-state roots over a binary Y: an unconstrained one-state
+    variable is indexed at its only state, so the query never asks einsum
+    for more than its 52 labels."""
+    roots = [f"S{i:02d}" for i in range(60)]
+    cpts = {r: Cpt(r, (), ("s",), {(): (1.0,)}) for r in roots}
+    cpts["Y"] = Cpt("Y", tuple(roots), ("0", "1"), {("s",) * 60: (0.3, 0.7)})
+    scm = DiscreteScm(CausalGraph(roots + ["Y"], [(r, "Y") for r in roots]), cpts)
+    expected = enumerate_probability(scm, {"Y": "1"})
+    assert expected == pytest.approx(0.7, abs=1e-15)
+    assert scm.probability({"Y": "1"}) == pytest.approx(expected, abs=1e-15)
+    assert scm.query_conditional({"Y": "1"}, {"S00": "s"}) == pytest.approx(
+        expected, abs=1e-15)
+
+
 class _OverBudget(Exception):
     pass
 
