@@ -22,7 +22,8 @@ The package is organized by task:
 
 Each exported name is imported from its module on first use (PEP 562), so
 `import causalkit` loads no submodule, and the graph-only functions load no
-numpy. Nothing loads scipy: the chi-square tail is ported in `_chi2`.
+numpy. Nothing loads scipy: the chi-square tail is a finite series at
+integer degrees of freedom, summed in `discovery`.
 """
 
 import importlib

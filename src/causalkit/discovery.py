@@ -3,13 +3,13 @@
 `ci_test` is a stratified Pearson chi-square test: one contingency table per
 conditioning-set stratum, statistics and degrees of freedom summed across
 strata, and a hard InsufficientData error whenever an expected cell falls
-below the minimum count. Its tail probability comes from `_chi2.chdtrc`, a
-bit-identical port of scipy's Cephes routine. `pc_skeleton`/`orient`
-implement the PC loop with conditioning sets drawn from current adjacencies
-(sizes 0..max), v-structure orientation with conflict reporting, and the
-away-from-collider propagation rule. `greedy_score_search` hill-climbs DAGs
-under the discrete BIC score, adding single edges while any addition helps,
-then deleting likewise.
+below the minimum count. Its tail probability comes from `_chi2_sf`, the
+finite chi-square series at integer degrees of freedom.
+`pc_skeleton`/`orient` implement the PC loop with conditioning sets drawn
+from current adjacencies (sizes 0..max), v-structure orientation with
+conflict reporting, and the away-from-collider propagation rule.
+`greedy_score_search` hill-climbs DAGs under the discrete BIC score, adding
+single edges while any addition helps, then deleting likewise.
 
 Everything is deterministic: variables, edges, and candidate conditioning
 sets are always processed in lexicographic order, and family scores are
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
-from ._chi2 import chdtrc
 from .data import DiscreteDataset, marginal_counts
 from .errors import EmptySelection, InsufficientData, SchemaMismatch
 from .graph import CausalGraph, Node, NodeKind, reach
@@ -55,6 +54,29 @@ def _check_levels(alpha: float, min_expected: float) -> None:
         )
 
 
+def _chi2_sf(dof: int, x: float) -> float:
+    """P(chi2(dof) > x) at integer dof, from the finite series of Abramowitz
+    and Stegun 26.4.4-26.4.5: with h = x/2, e^-h * sum_{j<dof/2} h^j / j! for
+    even dof, and erfc(sqrt(h)) plus e^-h * sum_{j<dof/2} h^j / Gamma(j+1)
+    over j = 1/2, 3/2, ... for odd dof. Every term is positive, so nothing
+    cancels; the sum is taken in log space, scaled by its largest term, and
+    e^-h is applied once, since subtracting h inside every term would round
+    each exponent at the magnitude of h."""
+    h = x / 2
+    if h <= 0:
+        return 1.0
+    if dof % 2:
+        head, j0, terms = math.erfc(math.sqrt(h)), 0.5, (dof - 1) // 2
+    else:
+        head, j0, terms = 0.0, 0.0, dof // 2
+    log_h = math.log(h)
+    logs = [(j0 + k) * log_h - math.lgamma(j0 + k + 1) for k in range(terms)]
+    if not logs:
+        return head
+    top = max(logs)
+    return head + math.exp(top - h) * math.fsum(math.exp(v - top) for v in logs)
+
+
 def ci_test(
     ds: DiscreteDataset,
     x: str,
@@ -75,6 +97,8 @@ def ci_test(
     zcols = sorted(z)
     if x in zcols or y in zcols:
         raise SchemaMismatch(f"z must not hold x or y, got z = {zcols}")
+    if len(set(zcols)) < len(zcols):
+        raise SchemaMismatch(f"z must not repeat a name, got z = {zcols}")
     counts = ds.counts([x, y] + zcols)
     if not counts:
         raise EmptySelection(f"no complete rows over {[x, y] + zcols}")
@@ -106,7 +130,7 @@ def ci_test(
                 statistic += (observed - expected) ** 2 / expected
         dof += (len(xs) - 1) * (len(ys) - 1)
 
-    p_value = chdtrc(dof, statistic) if dof > 0 else 1.0
+    p_value = _chi2_sf(dof, statistic) if dof > 0 else 1.0
     return CiResult(
         x=x,
         y=y,
@@ -203,8 +227,15 @@ def pc_skeleton(
     from the data-driven test propagates.
     """
     _check_levels(alpha, min_expected)
-    if max_cond_size < 0:
-        raise SchemaMismatch(f"max_cond_size must be >= 0, got {max_cond_size!r}")
+    # a float would fail late in `combinations`; a bool is an int to Python
+    if (
+        not isinstance(max_cond_size, int)
+        or isinstance(max_cond_size, bool)
+        or max_cond_size < 0
+    ):
+        raise SchemaMismatch(
+            f"max_cond_size must be an integer >= 0, got {max_cond_size!r}"
+        )
     if ci_fn is None:
         if ds is None:
             raise SchemaMismatch("need a dataset or an independence callable")

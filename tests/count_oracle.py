@@ -3,12 +3,13 @@
 Each function walks `DiscreteDataset.rows`, the label view, in Python and
 counts records one at a time with a `Counter`: the way the library counted
 before datasets were stored as integer-coded columns. Nothing here calls
-`counts`, and the chi-square tail comes from `scipy.stats.chi2.sf` rather
-than the library's port of Cephes `chdtrc` (`causalkit._chi2`), so agreement
-with the library is a genuine two-route check. The estimator
-routes raise the library's errors with the library's messages and combine
-their counts in the library's order (sorted strata), so their floats must
-equal the library's bit for bit.
+`counts`, and the chi-square tail comes from `scipy.stats.chi2.sf` (Cephes
+`igamc`) rather than the library's finite series (`discovery._chi2_sf`), so
+agreement with the library is a genuine two-route check: the p-values agree
+to a relative 1e-13, not bit for bit. The estimator routes raise the
+library's errors with the library's messages and combine their counts in the
+library's order (sorted strata), so their floats must equal the library's
+bit for bit.
 """
 
 from __future__ import annotations

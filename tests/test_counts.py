@@ -4,14 +4,17 @@
 rows, count with a Counter. Every count-derived result here must equal the
 oracle's bit for bit: joint counts on random tables (missing cells, unsorted
 declared states, declared-but-unseen states, all-missing columns, no complete
-rows), with and without a `where` row filter, chi-square tests, BIC count
-sums, whole greedy traces, and every adjustment estimator's value or error.
+rows), with and without a `where` row filter, chi-square statistics, BIC
+count sums, whole greedy traces, and every adjustment estimator's value or
+error; chi-square p-values, from another tail routine, to a relative 1e-13.
 The counts' keys must also come in raveled-code order, on which the
 estimators' float sums depend, on edge-case, derived, nearly-all-distinct
 and very wide tables as well.
 """
 
+import math
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -67,6 +70,22 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def assert_same_ci(got, want) -> None:
+    """A CI test's outcome against the oracle's: the same error, or the same
+    result. The statistic is summed in the oracle's order, so it is the same
+    double; the tail comes from another route (scipy's Cephes against the
+    finite series), which may differ in the last bits but not in the
+    decision. Cephes flushes tails below e^-709.78 to 0.0, where the series
+    keeps the subnormal: no relative error is defined there."""
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        assert got == want
+        return
+    assert replace(got, p_value=want.p_value) == want
+    assert repr(got.statistic) == repr(want.statistic)
+    assert got.independent == want.independent
+    assert math.isclose(got.p_value, want.p_value, rel_tol=1e-13, abs_tol=1e-300)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_kernel_equals_counter_route_on_random_tables(data):
@@ -91,8 +110,9 @@ def test_kernel_equals_counter_route_on_random_tables(data):
     if len(distinct) >= 2:
         x, y, *z = distinct
         min_expected = data.draw(st.sampled_from([0.0, 1.0, 5.0]))
-        assert outcome(ci_test, ds, x, y, z, min_expected=min_expected) == outcome(
-            oracle.ci_test, ds, x, y, z, min_expected=min_expected
+        assert_same_ci(
+            outcome(ci_test, ds, x, y, z, min_expected=min_expected),
+            outcome(oracle.ci_test, ds, x, y, z, min_expected=min_expected),
         )
 
 
@@ -247,12 +267,9 @@ def test_ci_tests_match_oracle_bitwise_on_collider_chain(seed):
         rest = [v for v in ds.columns if v not in (x, y)]
         for size in range(3):
             for z in combinations(rest, size):
-                got = outcome(ci_test, ds, x, y, z)
-                want = outcome(oracle.ci_test, ds, x, y, z)
-                assert got == want
-                if not isinstance(got, tuple):
-                    assert repr(got.statistic) == repr(want.statistic)
-                    assert repr(got.p_value) == repr(want.p_value)
+                assert_same_ci(
+                    outcome(ci_test, ds, x, y, z), outcome(oracle.ci_test, ds, x, y, z)
+                )
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -116,6 +116,12 @@ def test_chi_square_input_errors():
     for z in (["x"], ["y", "x"]):
         with pytest.raises(SchemaMismatch):
             ci_test(ds, "x", "y", z)
+    # a repeated name used to be recorded twice in the result's z
+    with_z = dataset_from_counts(
+        {(xv, yv, "0"): c for (xv, yv), c in DEPENDENT_2X2.items()}, ["x", "y", "z"]
+    )
+    with pytest.raises(SchemaMismatch):
+        ci_test(with_z, "x", "y", ["z", "z"])
     empty = DiscreteDataset(
         ["x", "y"], [(None, "0")], states={"x": ("0",), "y": ("0",)}
     )
@@ -332,6 +338,13 @@ def test_pc_argument_validation():
     # a negative size used to run no test and return the complete skeleton
     with pytest.raises(SchemaMismatch):
         pc_skeleton(ci_fn=lambda a, b, z: True, variables="XY", max_cond_size=-1)
+    # a float failed with a bare TypeError in `combinations`, and True ran as 1
+    ds = fx.collider_chain_scm().sample(500, seed=0)
+    for size in (2.5, True):
+        with pytest.raises(SchemaMismatch):
+            pc_skeleton(ds, max_cond_size=size)
+        with pytest.raises(SchemaMismatch):
+            pc(ds, max_cond_size=size)
 
 
 @pytest.mark.parametrize(
