@@ -5,6 +5,10 @@ conditioning-set stratum, statistics and degrees of freedom summed across
 strata, and a hard InsufficientData error whenever an expected cell falls
 below the minimum count. Its tail probability comes from `_chi2_sf`, the
 finite chi-square series at integer degrees of freedom.
+Both the test and the BIC cache count from the dataset's distinct records,
+coded by label rank (`DiscreteDataset._ranked`): `_tally` sorts them, sums
+equal cells, and hands back the cells in label order, so the sums run in
+the order they would over sorted label tuples and give the same floats.
 `pc_skeleton`/`orient` implement the PC loop with conditioning sets drawn
 from current adjacencies (sizes 0..max), v-structure orientation with
 conflict reporting, and the away-from-collider propagation rule.
@@ -23,10 +27,12 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Callable, Optional, Sequence
 
-from .data import DiscreteDataset, marginal_counts
+import numpy as np
+
+from .data import DiscreteDataset
 from .errors import EmptySelection, InsufficientData, SchemaMismatch
 from .graph import CausalGraph, Node, NodeKind, reach
 
@@ -77,6 +83,22 @@ def _chi2_sf(dof: int, x: float) -> float:
     return head + math.exp(top - h) * math.fsum(math.exp(v - top) for v in logs)
 
 
+def _tally(
+    cols: list[np.ndarray], weights: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """(cells, tally): the distinct cells of the key columns `cols`, in
+    lexicographic order with the first column primary, as one array per
+    column, and the summed weights of the records in each cell."""
+    order = np.lexsort(cols[::-1]) if cols else slice(None)
+    cols = [col[order] for col in cols]
+    start = np.zeros(len(weights), dtype=bool)
+    start[0] = True
+    for col in cols:
+        start[1:] |= col[1:] != col[:-1]
+    first = np.flatnonzero(start)
+    return [col[first] for col in cols], np.add.reduceat(weights[order], first)
+
+
 def ci_test(
     ds: DiscreteDataset,
     x: str,
@@ -94,41 +116,57 @@ def ci_test(
         raise SchemaMismatch("x and y must differ")
     _check_levels(alpha, min_expected)
 
+    # a string is a sequence of names to Python: "ZW" would condition on W, Z
+    if isinstance(z, str):
+        raise SchemaMismatch(f"z must be a sequence of names, not the string {z!r}")
     zcols = sorted(z)
     if x in zcols or y in zcols:
         raise SchemaMismatch(f"z must not hold x or y, got z = {zcols}")
     if len(set(zcols)) < len(zcols):
         raise SchemaMismatch(f"z must not repeat a name, got z = {zcols}")
-    counts = ds.counts([x, y] + zcols)
-    if not counts:
-        raise EmptySelection(f"no complete rows over {[x, y] + zcols}")
+    names = [x, y] + zcols
+    ranks, weights = ds._ranked(names)
+    if not len(weights):
+        raise EmptySelection(f"no complete rows over {names}")
 
-    strata: dict[tuple, Counter] = defaultdict(Counter)
-    for (xv, yv, *zv), c in counts.items():
-        strata[tuple(zv)][(xv, yv)] = c
+    # cells in (z..., x, y) rank order, which is label order, so each
+    # stratum is one run and its cells come x-major as the sum below visits
+    # them
+    cells, tally = _tally(ranks[2:] + ranks[:2], weights)
+    *zr, xr, yr = (col.tolist() for col in cells)
+    strata: list[tuple[tuple, dict]] = []
+    for zv, xv, yv, c in zip(zip(*zr) if zr else repeat(()), xr, yr, tally.tolist()):
+        if not strata or strata[-1][0] != zv:
+            strata.append((zv, {}))
+        strata[-1][1][xv, yv] = c
 
     statistic = 0.0
     dof = 0
-    for zv in sorted(strata):
-        table = strata[zv]
-        xs = sorted({k[0] for k in table})
-        ys = sorted({k[1] for k in table})
-        if len(xs) < 2 or len(ys) < 2:
+    for zv, table in strata:
+        row_tot: dict[int, int] = defaultdict(int)
+        col_tot: dict[int, int] = defaultdict(int)
+        for (xv, yv), c in table.items():
+            row_tot[xv] += c
+            col_tot[yv] += c
+        if len(row_tot) < 2 or len(col_tot) < 2:
             continue
-        n_s = sum(table.values())
-        row_tot = {xv: sum(table[(xv, yv)] for yv in ys) for xv in xs}
-        col_tot = {yv: sum(table[(xv, yv)] for xv in xs) for yv in ys}
-        for xv in xs:
+        n_s = sum(row_tot.values())
+        ys = sorted(col_tot)
+        for xv in row_tot:
             for yv in ys:
                 expected = row_tot[xv] * col_tot[yv] / n_s
                 if expected < min_expected:
+                    xl, yl, *zl = (
+                        sorted(ds.column_states(n))[r]
+                        for n, r in zip(names, (xv, yv, *zv))
+                    )
                     raise InsufficientData(
                         f"expected count {expected:.2f} < {min_expected} for "
-                        f"({x}={xv}, {y}={yv}) in stratum {dict(zip(zcols, zv))}"
+                        f"({x}={xl}, {y}={yl}) in stratum {dict(zip(zcols, zl))}"
                     )
-                observed = table[(xv, yv)]
+                observed = table.get((xv, yv), 0)
                 statistic += (observed - expected) ** 2 / expected
-        dof += (len(xs) - 1) * (len(ys) - 1)
+        dof += (len(row_tot) - 1) * (len(col_tot) - 1)
 
     p_value = _chi2_sf(dof, statistic) if dof > 0 else 1.0
     return CiResult(
@@ -250,6 +288,8 @@ def pc_skeleton(
             raise SchemaMismatch("need explicit variables with a bare ci_fn")
         variables = ds.columns
     names = sorted(variables)
+    if len(set(names)) < len(names):
+        raise SchemaMismatch(f"variables must not repeat a name, got {names}")
 
     adj: dict[str, set[str]] = {v: set(names) - {v} for v in names}
     sepsets: SepSets = {}
@@ -424,25 +464,26 @@ def bic_family_score(
 
 class _BicCache:
     """Canonical Σ c·ln c per variable subset, so family log-likelihoods of
-    symmetric candidates are identical float expressions."""
+    symmetric candidates are identical float expressions. Every subset is
+    tallied from the distinct records complete over all variables, by their
+    label ranks, and summed in label order."""
 
     def __init__(self, ds: DiscreteDataset):
         names = sorted(ds.columns)
-        self.full = ds.counts(names)
-        if not self.full:
+        ranks, self.weights = ds._ranked(names)
+        if not len(self.weights):
             raise EmptySelection("no complete rows")
         self.names = names
-        self.n = sum(self.full.values())
+        self.ranks = dict(zip(names, ranks))
+        self.n = int(self.weights.sum())
         self.states = {v: ds.column_states(v) for v in names}
         self._cache: dict[frozenset, float] = {}
 
     def log_count_sum(self, subset: frozenset) -> float:
         if subset not in self._cache:
-            idx = [self.names.index(v) for v in sorted(subset)]
-            counts = marginal_counts(self.full, idx)
-            self._cache[subset] = sum(
-                c * math.log(c) for _, c in sorted(counts.items())
-            )
+            _, tally = _tally([self.ranks[v] for v in sorted(subset)], self.weights)
+            # math.log, not np.log: numpy's SIMD log may round otherwise
+            self._cache[subset] = sum(c * math.log(c) for c in tally.tolist())
         return self._cache[subset]
 
     def family_score(self, child: str, parents: frozenset) -> float:

@@ -287,6 +287,76 @@ def test_bic_counts_and_greedy_trace_match_oracle_bitwise(seed, monkeypatch):
     assert repr(trace) == repr(slow_trace)
 
 
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_bic_counts_and_greedy_trace_match_oracle_on_random_tables(ds):
+    cache, slow = outcome(discovery._BicCache, ds), outcome(oracle.BicCache, ds)
+    if isinstance(slow, tuple):
+        assert cache == slow
+    else:
+        for size in range(len(ds.columns) + 1):
+            for subset in map(frozenset, combinations(ds.columns, size)):
+                assert repr(cache.log_count_sum(subset)) == repr(
+                    slow.log_count_sum(subset)
+                )
+
+    got = outcome(greedy_score_search, ds)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(discovery, "_BicCache", oracle.BicCache)
+        want = outcome(greedy_score_search, ds)
+    # a graph and its trace, or an error's type and message
+    assert got[0] == want[0]
+    assert repr(got[1]) == repr(want[1])
+
+
+def seeded_tables(seed, count):
+    """`count` random tables of up to 400 rows over 2-5 columns, each column
+    with up to 4 states declared out of label order (or inferred) and some
+    cells missing: enough cells per stratum that a sum taken in another
+    order than label order shows in the last bits."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        columns = [f"c{i}" for i in range(rng.integers(2, 6))]
+        states = {
+            c: tuple(rng.choice(LABELS, size=rng.integers(1, 5), replace=False))
+            for c in columns
+        }
+        weights = {c: rng.dirichlet(np.ones(len(states[c]))) for c in columns}
+        missing = rng.choice([0.0, 0.05, 0.3])
+        rows = [
+            tuple(
+                None if rng.random() < missing
+                else states[c][rng.choice(len(states[c]), p=weights[c])]
+                for c in columns
+            )
+            for _ in range(rng.integers(0, 400))
+        ]
+        yield DiscreteDataset(columns, rows, states if rng.random() < 0.5 else None)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ci_tests_and_bic_sums_match_oracle_on_seeded_tables(seed):
+    rng = np.random.default_rng(100 + seed)
+    for ds in seeded_tables(seed, 60):
+        for x, y in combinations(ds.columns, 2):
+            rest = [c for c in ds.columns if c not in (x, y)]
+            z = list(rng.permutation(rest)[: rng.integers(0, len(rest) + 1)])
+            min_expected = rng.choice([0.0, 1.0, 5.0])
+            assert_same_ci(
+                outcome(ci_test, ds, y, x, z, min_expected=min_expected),
+                outcome(oracle.ci_test, ds, y, x, z, min_expected=min_expected),
+            )
+        cache, slow = outcome(discovery._BicCache, ds), outcome(oracle.BicCache, ds)
+        if isinstance(slow, tuple):
+            assert cache == slow
+            continue
+        for size in range(1, len(ds.columns) + 1):
+            for subset in map(frozenset, combinations(ds.columns, size)):
+                assert repr(cache.log_count_sum(subset)) == repr(
+                    slow.log_count_sum(subset)
+                )
+
+
 def test_counts_over_a_wide_table_allocate_no_dense_table():
     rng = np.random.default_rng(7)
     columns = [f"v{i:02d}" for i in range(70)]
