@@ -38,9 +38,9 @@ _EXPORTS = {
     ),
     "data": ("MISSING", "DiscreteDataset", "ProbTable", "empirical_joint"),
     "discovery": (
-        "CiResult", "Pattern", "TraceStep", "bic_family_score", "ci_test",
-        "dsep_ci_fn", "greedy_score_search", "markov_equivalent", "orient",
-        "pattern_of_dag", "pc", "pc_skeleton", "vstructures",
+        "CiResult", "Pattern", "TraceStep", "ci_test", "dsep_ci_fn",
+        "greedy_score_search", "markov_equivalent", "orient", "pattern_of_dag",
+        "pc", "pc_skeleton", "vstructures",
     ),
     "errors": (
         "CausalKitError", "CycleDetected", "DanglingEdge", "DataError",

@@ -5,9 +5,11 @@ per column: a code indexes the column's state tuple, and -1 marks a missing
 cell. Every count is taken on those codes: the first time one is asked
 for, a dataset groups its rows into distinct records, each with the number
 of rows holding it, and every count is then a tally of those records
-weighted by their multiplicities. `DiscreteDataset.counts` tallies them
-into label-keyed Counters; discovery reads them through `_ranked`, with
-each code mapped to its label's rank among the column's sorted labels.
+weighted by their multiplicities. One filter, `DiscreteDataset._select`,
+keeps the records complete over the named columns and holding any `where`
+states, and one tally, `_tally`, sums them into cells. `counts` decodes the
+cells into label-keyed Counters; discovery tallies `_ranked` records, each
+code mapped to its label's rank among the column's sorted labels.
 The label view, in which a cell is its string state label and a missing
 cell is None (MISSING), is built on first use. CSV files carry a header
 row, and empty or "NA" cells read back as missing. Column state spaces are
@@ -59,6 +61,24 @@ def _rank(labels: tuple[str, ...]) -> np.ndarray:
     rank[sorted(range(len(labels)), key=labels.__getitem__)] = range(len(labels))
     rank.flags.writeable = False  # shared by every call with these labels
     return rank
+
+
+def _tally(
+    cols: list[np.ndarray], weights: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """(cells, tally): the distinct cells of the key columns `cols`, in
+    lexicographic order with the first column primary, as one array per
+    column, and the summed weights of the records in each cell."""
+    if not len(weights):
+        return cols, weights
+    order = np.lexsort(cols[::-1]) if cols else slice(None)
+    cols = [col[order] for col in cols]
+    start = np.zeros(len(weights), dtype=bool)
+    start[0] = True
+    for col in cols:
+        start[1:] |= col[1:] != col[:-1]
+    first = np.flatnonzero(start)
+    return [col[first] for col in cols], np.add.reduceat(weights[order], first)
 
 
 def _by_column(rows: list, width: int) -> list[list]:
@@ -258,19 +278,41 @@ class DiscreteDataset:
             self._grouped = codes, multiplicity
         return self._grouped
 
-    def _ranked(self, names: Sequence[str]) -> tuple[list[np.ndarray], np.ndarray]:
-        """(ranks, multiplicity) of the distinct records observed in every
-        named column: per name, each record's label rank, the position of its
-        label among the column's sorted labels, so that ranks order as labels
-        do; and how many rows hold each record."""
-        states = [self.column_states(n) for n in names]
+    def _select(
+        self, names: Sequence[str], where: Mapping[str, str] | None = None
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """(codes, multiplicity) of the distinct records observed in every
+        named column and holding the `where` states: per name, each record's
+        codes, and how many rows hold each record. A state outside its
+        column's states matches no record."""
+        # a string is a sequence of names to Python: "XY" would count X, Y
+        if isinstance(names, str):
+            raise SchemaMismatch(f"names must be a sequence, not the string {names!r}")
         records, multiplicity = self._records()
-        cols = [records[n] for n in names]
+        try:
+            cols = [records[n] for n in names]
+            # -2 matches no code, so an undeclared state selects no record
+            held = [
+                (records[c], self.states[c].index(s) if s in self.states[c] else -2)
+                for c, s in (where or {}).items()
+            ]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            bad = next(n for n in (*names, *(where or {})) if n not in self.columns)
+            raise SchemaMismatch(f"no column named {bad!r}") from None
         keep = np.ones(len(multiplicity), dtype=bool)
         for col in cols:
             keep &= col >= 0
-        ranks = [_rank(labels).take(col[keep]) for labels, col in zip(states, cols)]
-        return ranks, multiplicity[keep]
+        for col, code in held:
+            keep &= col == code
+        return [col[keep] for col in cols], multiplicity[keep]
+
+    def _ranked(self, names: Sequence[str]) -> tuple[list[np.ndarray], np.ndarray]:
+        """(ranks, multiplicity) of `_select(names)`, each code mapped to its
+        label rank, the position of its label among the column's sorted
+        labels, so that ranks order as labels do."""
+        cols, multiplicity = self._select(names)
+        ranks = [_rank(self.states[n]).take(col) for n, col in zip(names, cols)]
+        return ranks, multiplicity
 
     def counts(
         self, names: Sequence[str], where: Mapping[str, str] | None = None
@@ -284,37 +326,15 @@ class DiscreteDataset:
         how many rows hold it (see `_records`): a table of few distinct
         records is tallied without re-reading its rows, while one whose
         records are nearly all distinct is tallied over about as many
-        records as rows. The kept records are sorted by their codes over
-        `names` and equal runs are summed; the observed cells, a table of at
-        most that many rows, are then projected to labels.
+        records as rows. The records `_select` keeps are summed into cells
+        by `_tally`; the observed cells, a table of at most that many rows,
+        are then projected to labels.
         """
-        states = {n: self.column_states(n) for n in names}
-        records, multiplicity = self._records()
-        keep = np.ones(len(multiplicity), dtype=bool)
-        for name in names:
-            keep &= records[name] >= 0
-        for name, state in (where or {}).items():
-            declared = self.column_states(name)
-            # -2 matches no code, so an undeclared state selects no row
-            keep &= records[name] == (
-                declared.index(state) if state in declared else -2
-            )
-        cols = [records[n][keep] for n in names]
-        weights = multiplicity[keep]
-        if cols:
-            order = np.lexsort(cols[::-1])
-            cols = [col[order] for col in cols]
-            weights = weights[order]
-        start = np.zeros(len(weights), dtype=bool)
-        start[:1] = True
-        for col in cols:
-            start[1:] |= col[1:] != col[:-1]
-        first = np.flatnonzero(start)
-        tally = np.add.reduceat(weights, first) if len(first) else weights
+        cells, tally = _tally(*self._select(names, where))
         table = DiscreteDataset._from_codes(
             dict.fromkeys(names),
-            {n: col[first] for n, col in zip(names, cols)},
-            states,
+            dict(zip(names, cells)),
+            {n: self.states[n] for n in names},
             len(tally),
         )
         return Counter(dict(zip(table.project(names), tally.tolist())))

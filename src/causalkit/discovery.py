@@ -6,9 +6,9 @@ strata, and a hard InsufficientData error whenever an expected cell falls
 below the minimum count. Its tail probability comes from `_chi2_sf`, the
 finite chi-square series at integer degrees of freedom.
 Both the test and the BIC cache count from the dataset's distinct records,
-coded by label rank (`DiscreteDataset._ranked`): `_tally` sorts them, sums
-equal cells, and hands back the cells in label order, so the sums run in
-the order they would over sorted label tuples and give the same floats.
+coded by label rank (`DiscreteDataset._ranked`): `data._tally`, the kernel
+`counts` uses too, sums equal cells and hands them back in label order, so
+the sums run as they would over sorted label tuples and give the same floats.
 `pc_skeleton`/`orient` implement the PC loop with conditioning sets drawn
 from current adjacencies (sizes 0..max), v-structure orientation with
 conflict reporting, and the away-from-collider propagation rule.
@@ -25,14 +25,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
-from .data import DiscreteDataset
+from .data import DiscreteDataset, _tally
 from .errors import EmptySelection, InsufficientData, SchemaMismatch
 from .graph import CausalGraph, Node, NodeKind, reach
 
@@ -81,22 +79,6 @@ def _chi2_sf(dof: int, x: float) -> float:
         return head
     top = max(logs)
     return head + math.exp(top - h) * math.fsum(math.exp(v - top) for v in logs)
-
-
-def _tally(
-    cols: list[np.ndarray], weights: np.ndarray
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """(cells, tally): the distinct cells of the key columns `cols`, in
-    lexicographic order with the first column primary, as one array per
-    column, and the summed weights of the records in each cell."""
-    order = np.lexsort(cols[::-1]) if cols else slice(None)
-    cols = [col[order] for col in cols]
-    start = np.zeros(len(weights), dtype=bool)
-    start[0] = True
-    for col in cols:
-        start[1:] |= col[1:] != col[:-1]
-    first = np.flatnonzero(start)
-    return [col[first] for col in cols], np.add.reduceat(weights[order], first)
 
 
 def ci_test(
@@ -441,25 +423,6 @@ class TraceStep:
     op: str
     edge: Optional[tuple[str, str]]
     score: float
-
-
-def bic_family_score(
-    counts: Counter,
-    parent_counts: Counter,
-    n: int,
-    child_states: int,
-    parent_space: int,
-) -> float:
-    """Log-likelihood of one node's multinomial family minus the BIC penalty.
-
-    counts: joint counts over (parents..., child); parent_counts: the same
-    marginalized over the child. The penalty is (ln n / 2) per free
-    parameter, (child_states - 1) · parent_space in total.
-    """
-    ll = 0.0
-    for key, c in counts.items():
-        ll += c * math.log(c / parent_counts[key[:-1]])
-    return ll - 0.5 * math.log(n) * (child_states - 1) * parent_space
 
 
 class _BicCache:

@@ -36,6 +36,9 @@ def check_roles(x: str, y: str, z: Sequence[str]) -> None:
     columns and neither is among the conditioning columns z."""
     if x == y:
         raise SchemaMismatch(f"treatment and outcome are the same column {x!r}")
+    # a string is a sequence of names to Python: "ZY" would adjust for Y, Z
+    if isinstance(z, str):
+        raise SchemaMismatch(f"conditioning columns {z!r} are a string, not names")
     for role, name in (("treatment", x), ("outcome", y)):
         if name in z:
             raise SchemaMismatch(

@@ -191,6 +191,15 @@ def test_unknown_columns_are_schema_errors():
         ds.counts(["A", "C"])
     with pytest.raises(SchemaMismatch, match="no column named 'C'"):
         ds.counts(["A"], where={"C": "0"})
+    with pytest.raises(SchemaMismatch, match=r"no column named \['A'\]"):
+        ds.counts([["A"]])
+    # a bare string is not a list of names: "AB" would count A and B
+    with pytest.raises(SchemaMismatch, match="not the string 'AB'"):
+        ds.counts("AB")
+    with pytest.raises(SchemaMismatch, match="not the string 'AB'"):
+        causalkit.empirical_joint(ds, "AB")
+    with pytest.raises(SchemaMismatch, match="not the string 'A'"):
+        ds._ranked("A")
 
 
 def test_a_derived_dataset_counts_its_own_rows():

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +18,8 @@ from causalkit import (
     InsufficientData,
     Pattern,
     SchemaMismatch,
-    bic_family_score,
     ci_test,
+    discovery,
     dsep_ci_fn,
     greedy_score_search,
     markov_equivalent,
@@ -472,23 +471,16 @@ def test_pc_propagates_insufficient_data():
 
 
 def test_bic_family_score_hand_computed():
-    counts = Counter({("0",): 30, ("1",): 70})
-    parent_counts = Counter({(): 100})
-    got = bic_family_score(
-        counts, parent_counts, n=100, child_states=2, parent_space=1
-    )
+    ds = dataset_from_counts({("0",): 30, ("1",): 70}, ["Y"])
+    got = discovery._BicCache(ds).family_score("Y", frozenset())
     ll = 30 * math.log(0.3) + 70 * math.log(0.7)
     assert got == pytest.approx(ll - 0.5 * math.log(100), abs=1e-12)
 
 
 def test_bic_family_score_with_parent():
-    counts = Counter(
-        {("0", "0"): 40, ("0", "1"): 10, ("1", "0"): 10, ("1", "1"): 40}
-    )
-    parent_counts = Counter({("0",): 50, ("1",): 50})
-    got = bic_family_score(
-        counts, parent_counts, n=100, child_states=2, parent_space=2
-    )
+    counts = {("0", "0"): 40, ("0", "1"): 10, ("1", "0"): 10, ("1", "1"): 40}
+    ds = dataset_from_counts(counts, ["X", "Y"])
+    got = discovery._BicCache(ds).family_score("Y", frozenset({"X"}))
     ll = 2 * (40 * math.log(0.8) + 10 * math.log(0.2))
     assert got == pytest.approx(ll - math.log(100), abs=1e-12)
 

@@ -189,6 +189,8 @@ OVERLAPPING_ROLES = [
     ("treatment", "recovery", ["severity", "treatment"]),
     ("recovery", "recovery", []),
     ("treatment", "treatment", ["severity"]),
+    # a bare string is not a list of names: it would be split into letters
+    ("treatment", "recovery", "severity"),
 ]
 
 
@@ -220,6 +222,17 @@ def test_simpson_refuses_overlapping_roles(x, y, z):
     ds = fx.kidney_dataset()
     with pytest.raises(SchemaMismatch, match="same column|conditioning columns"):
         detect_simpson_reversal(ds, x, y, "1", z)
+
+
+def test_a_bare_string_z_is_refused_not_split():
+    # on one-letter columns "ZY" would adjust for ["Y", "Z"] without a word
+    ds = fx.collider_chain_scm().sample(1000, 1)
+    assert backdoor_adjust(ds, "X", "1", "W", "1", ["Y", "Z"]) > 0
+    for estimate in (backdoor_adjust, backdoor_adjust_ratio):
+        with pytest.raises(SchemaMismatch, match="'ZY' are a string"):
+            estimate(ds, "X", "1", "W", "1", "ZY")
+    with pytest.raises(SchemaMismatch, match="'ZY' are a string"):
+        detect_simpson_reversal(ds, "X", "W", "1", "ZY")
 
 
 @given(

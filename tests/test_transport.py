@@ -139,6 +139,8 @@ def test_debias_errors():
         ("test", "antibody", ["antibody"]),
         ("test", "antibody", ["risk", "test"]),
         ("test", "test", ["risk"]),
+        # a bare string is not a list of names: it would be split into letters
+        ("test", "antibody", "risk"),
     ],
 )
 def test_debias_refuses_overlapping_roles(x, y, strata):
