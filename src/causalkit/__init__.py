@@ -33,8 +33,7 @@ _EXPORTS = {
     "bandits": (
         "BanditEnv", "BetaPosterior", "CausalThompsonPolicy", "EpsilonGreedyPolicy",
         "OraclePolicy", "Round", "RunResult", "ThompsonPolicy", "UniformPolicy",
-        "env_from_dict", "env_from_json", "env_to_dict", "env_to_json",
-        "make_policy", "simulate",
+        "env_from_dict", "env_to_dict", "make_policy", "simulate",
     ),
     "data": ("MISSING", "DiscreteDataset", "ProbTable", "empirical_joint"),
     "discovery": (
@@ -58,18 +57,14 @@ _EXPORTS = {
     ),
     "graph": (
         "CausalGraph", "Node", "NodeKind", "Path", "graph_from_dict",
-        "graph_from_json", "graph_to_dict", "graph_to_json",
+        "graph_to_dict",
     ),
     "missing": (
         "NOT_RECOVERABLE", "Mechanism", "MGraph", "NotRecoverable",
         "TestabilityResult", "apply_missingness", "classify_mechanism",
-        "is_ci_testable", "mgraph_from_dict", "mgraph_from_json", "mgraph_to_dict",
-        "mgraph_to_json", "recover_joint",
+        "is_ci_testable", "mgraph_from_dict", "mgraph_to_dict", "recover_joint",
     ),
-    "scm": (
-        "Cpt", "DiscreteScm", "scm_from_dict", "scm_from_json", "scm_to_dict",
-        "scm_to_json",
-    ),
+    "scm": ("Cpt", "DiscreteScm", "scm_from_dict", "scm_to_dict"),
     "transport": (
         "PathAssessment", "SelectionReport", "StratumEffects",
         "detect_selection_bias", "stratified_debias", "transport_estimate",

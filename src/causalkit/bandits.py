@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
@@ -388,11 +387,3 @@ def env_from_dict(payload: dict) -> BanditEnv:
             f"declared {payload['arms']} arms but payout rows have {env.arms}"
         )
     return env
-
-
-def env_to_json(env: BanditEnv) -> str:
-    return json.dumps(env_to_dict(env), indent=2)
-
-
-def env_from_json(text: str) -> BanditEnv:
-    return env_from_dict(json.loads(text))

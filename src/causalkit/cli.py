@@ -9,6 +9,9 @@ Conventions: `--out text` (default) prints probabilities with three
 decimals, `--out json` prints full precision; randomized subcommands
 require `--seed`. Each subcommand declares its input files (`_command`);
 `main` reads and parses them, in flag order, before the handler runs.
+`--data` is CSV, parsed by `DiscreteDataset.from_csv`; every other input
+is JSON, decoded once in `_load` and handed to its type's dict codec
+(`graph_from_dict`, `scm_from_dict`, ...).
 Handlers import the functions they call, and each input's parser is
 imported when its file is read, so a process loads only the modules its
 subcommand computes with: `dsep`, `backdoor-check`, `identify`,
@@ -54,23 +57,24 @@ class _FileError(Exception):
     """A file cannot be read, does not parse, or cannot be written."""
 
 
-# Input files, each (flag, what the file holds, parser of its text as
-# "module:attribute", flag help). The parser is looked up when the file is
-# read, so a subcommand imports only the modules it reads with, and a wrapper
-# bound on the class or module later is the one called.
-_GRAPH = ("--graph", "graph", "graph:graph_from_json", None)
-_MGRAPH = ("--graph", "missingness graph", "missing:mgraph_from_json", None)
-_MODEL = ("--model", "model", "scm:scm_from_json", None)
+# Input files, each (flag, what the file holds, parser as "module:attribute",
+# flag help). The parser reads the CSV text of `--data` and the decoded JSON
+# of every other input. It is looked up when the file is read, so a
+# subcommand imports only the modules it reads with, and a wrapper bound on
+# the class or module later is the one called.
+_GRAPH = ("--graph", "graph", "graph:graph_from_dict", None)
+_MGRAPH = ("--graph", "missingness graph", "missing:mgraph_from_dict", None)
+_MODEL = ("--model", "model", "scm:scm_from_dict", None)
 _DATA = ("--data", "dataset", "data:DiscreteDataset.from_csv", None)
-_ENV = ("--env", "bandit environment", "bandits:env_from_json", None)
-_EFFECTS = ("--effects", "effects file", "transport:StratumEffects.from_json",
+_ENV = ("--env", "bandit environment", "bandits:env_from_dict", None)
+_EFFECTS = ("--effects", "effects file", "transport:StratumEffects.from_dict",
             "StratumEffects JSON file")
-_RCPT = ("--rcpt", "indicator-table file", "missing:mask_cpts_from_json",
+_RCPT = ("--rcpt", "indicator-table file", "missing:mask_cpts_from_dict",
          "indicator tables JSON")
 
 
 def _load(args, spec):
-    """Read the file that input `spec` names in `args` and parse its text."""
+    """Read the file that input `spec` names in `args` and parse it."""
     flag, what, parser, _ = spec
     path = getattr(args, flag[2:])
     try:
@@ -78,13 +82,15 @@ def _load(args, spec):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _FileError(f"cannot read {path}: {exc}") from exc
+    try:
+        payload = text if spec is _DATA else json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _FileError(f"{path} is not valid JSON: {exc}") from exc
     module, _, attr = parser.partition(":")
     parse = attrgetter(attr)(importlib.import_module(f".{module}", __package__))
     try:
-        return parse(text)
-    except json.JSONDecodeError as exc:
-        raise _FileError(f"{path} is not valid JSON: {exc}") from exc
-    except (CausalKitError, KeyError, TypeError, ValueError) as exc:
+        return parse(payload)
+    except (CausalKitError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise _FileError(f"{path} is not a valid {what}: {exc}") from exc
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -470,13 +469,6 @@ class ProbTable:
             tuple(payload["variables"]),
             {tuple(key): p for key, p in payload["entries"]},
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProbTable":
-        return cls.from_dict(json.loads(text))
 
 
 def empirical_joint(ds: DiscreteDataset, names: Sequence[str]) -> ProbTable:

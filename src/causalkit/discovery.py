@@ -23,7 +23,6 @@ candidates are exact and broken lexicographically.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -207,13 +206,6 @@ class Pattern:
             conflicts=tuple(tuple(e) for e in payload.get("conflicts", [])),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Pattern":
-        return cls.from_dict(json.loads(text))
-
     def to_dot(self) -> str:
         lines = ["digraph pattern {"]
         for n in self.nodes:
@@ -269,6 +261,11 @@ def pc_skeleton(
         if ds is None:
             raise SchemaMismatch("need explicit variables with a bare ci_fn")
         variables = ds.columns
+    # a string is a sequence of names to Python: "XY" would search over X, Y
+    if isinstance(variables, str):
+        raise SchemaMismatch(
+            f"variables must be a sequence, not the string {variables!r}"
+        )
     names = sorted(variables)
     if len(set(names)) < len(names):
         raise SchemaMismatch(f"variables must not repeat a name, got {names}")

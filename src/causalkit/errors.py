@@ -186,5 +186,4 @@ class MissingIntent(CausalKitError):
 
 
 class InsufficientData(CausalKitError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    pass

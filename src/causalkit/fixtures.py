@@ -8,15 +8,16 @@ are deterministic; sampling-based builders take explicit seeds.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
 
-from .bandits import BanditEnv, env_to_json
+from .bandits import BanditEnv, env_to_dict
 from .data import DiscreteDataset
-from .graph import CausalGraph, Node, NodeKind, graph_to_json
-from .missing import MGraph, mask_cpts_to_json, mgraph_to_json
-from .scm import Cpt, DiscreteScm, scm_to_json
+from .graph import CausalGraph, Node, NodeKind, graph_to_dict
+from .missing import MGraph, mask_cpts_to_dict, mgraph_to_dict
+from .scm import Cpt, DiscreteScm, scm_to_dict
 from .transport import StratumEffects
 
 
@@ -435,18 +436,19 @@ STUDY_SEED = 20230817
 
 
 def fixture_files() -> dict[str, str]:
-    """Every fixture as {file name: file text}, in export order."""
+    """Every fixture as {file name: file text}, in export order. A `.json`
+    file is its object's dict codec, written with `json.dumps(..., indent=2)`."""
     files = {
         "kidney.csv": kidney_dataset().to_csv(),
-        "kidney_graph.json": graph_to_json(kidney_graph()),
-        "kidney_scm.json": scm_to_json(kidney_scm()),
-        "confounded_scm.json": scm_to_json(confounded_scm()),
-        "sprinkler_scm.json": scm_to_json(sprinkler_scm()),
-        "smoking_graph.json": graph_to_json(smoking_graph()),
-        "covid_graph.json": graph_to_json(covid_graph()),
-        "covid_scm.json": scm_to_json(covid_scm()),
+        "kidney_graph.json": graph_to_dict(kidney_graph()),
+        "kidney_scm.json": scm_to_dict(kidney_scm()),
+        "confounded_scm.json": scm_to_dict(confounded_scm()),
+        "sprinkler_scm.json": scm_to_dict(sprinkler_scm()),
+        "smoking_graph.json": graph_to_dict(smoking_graph()),
+        "covid_graph.json": graph_to_dict(covid_graph()),
+        "covid_scm.json": scm_to_dict(covid_scm()),
         "covid_study.csv": covid_study_dataset(STUDY_SAMPLE_SIZE, STUDY_SEED).to_csv(),
-        "age_strata.json": age_stratum_effects().to_json(),
+        "age_strata.json": age_stratum_effects().to_dict(),
     }
     for name, builder in (
         ("mgraph_mcar", mgraph_mcar),
@@ -455,19 +457,22 @@ def fixture_files() -> dict[str, str]:
         ("mgraph_two_sided", mgraph_two_sided),
     ):
         mg = builder()
-        files[f"{name}.json"] = mgraph_to_json(mg)
-        files[f"{name}_mask.json"] = mask_cpts_to_json(mask_cpts(mg))
-    files["xy_scm.json"] = scm_to_json(xy_scm())
-    files["collider_chain_graph.json"] = graph_to_json(collider_chain_graph())
-    files["collider_chain_scm.json"] = scm_to_json(collider_chain_scm())
+        files[f"{name}.json"] = mgraph_to_dict(mg)
+        files[f"{name}_mask.json"] = mask_cpts_to_dict(mask_cpts(mg))
+    files["xy_scm.json"] = scm_to_dict(xy_scm())
+    files["collider_chain_graph.json"] = graph_to_dict(collider_chain_graph())
+    files["collider_chain_scm.json"] = scm_to_dict(collider_chain_scm())
     for name, env in (
         ("bandit_two_arm", two_arm_env()),
         ("bandit_five_arm", five_arm_env()),
         ("bandit_paradoxical", paradoxical_env()),
         ("bandit_single_intent", single_intent_env()),
     ):
-        files[f"{name}.json"] = env_to_json(env)
-    return files
+        files[f"{name}.json"] = env_to_dict(env)
+    return {
+        name: json.dumps(body, indent=2) if name.endswith(".json") else body
+        for name, body in files.items()
+    }
 
 
 def write_all(dest: str | Path) -> list[Path]:

@@ -23,7 +23,6 @@ node count. It therefore stops with GraphTooLarge after a fixed budget of
 
 from __future__ import annotations
 
-import json
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -447,11 +446,3 @@ def graph_from_dict(payload: dict) -> CausalGraph:
     ]
     edges = [(a, b) for a, b in payload["edges"]]
     return CausalGraph(nodes, edges)
-
-
-def graph_to_json(graph: CausalGraph) -> str:
-    return json.dumps(graph_to_dict(graph), indent=2)
-
-
-def graph_from_json(text: str) -> CausalGraph:
-    return graph_from_dict(json.loads(text))

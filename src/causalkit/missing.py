@@ -17,7 +17,6 @@ statement remains testable from partially observed rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -155,14 +154,6 @@ def mgraph_from_dict(payload: dict) -> MGraph:
     return MGraph(graph, partial)
 
 
-def mgraph_to_json(mg: MGraph) -> str:
-    return json.dumps(mgraph_to_dict(mg), indent=2)
-
-
-def mgraph_from_json(text: str) -> MGraph:
-    return mgraph_from_dict(json.loads(text))
-
-
 def mask_cpts_to_dict(cpts: Mapping[str, Cpt]) -> dict:
     """Indicator tables keyed by indicator: parents, states, and the rows as
     [parent states, distribution] pairs in sorted order."""
@@ -184,14 +175,6 @@ def mask_cpts_from_dict(payload: dict) -> dict[str, Cpt]:
                {tuple(key): dist for key, dist in spec["rows"]})
         for r, spec in payload.items()
     }
-
-
-def mask_cpts_to_json(cpts: Mapping[str, Cpt]) -> str:
-    return json.dumps(mask_cpts_to_dict(cpts), indent=2)
-
-
-def mask_cpts_from_json(text: str) -> dict[str, Cpt]:
-    return mask_cpts_from_dict(json.loads(text))
 
 
 def classify_mechanism(mg: MGraph) -> Mechanism:
@@ -280,6 +263,11 @@ def apply_missingness(
 
 def _match_two_var_family(mg: MGraph, variables: Sequence[str]):
     """Identify (cause, outcome, family letter) or raise UnmatchedPattern."""
+    # a string is a sequence of names to Python: "XY" would match X, Y
+    if isinstance(variables, str):
+        raise SchemaMismatch(
+            f"variables must be a sequence, not the string {variables!r}"
+        )
     g = mg.graph
     if g.nodes_of_kind(NodeKind.LATENT):
         raise UnmatchedPattern("latent nodes present")

@@ -21,7 +21,6 @@ densely connected models do not.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -484,11 +483,3 @@ def scm_from_dict(payload: dict) -> DiscreteScm:
         for name, spec in payload.get("latent", {}).items()
     }
     return DiscreteScm(graph, cpts, latent_dists)
-
-
-def scm_to_json(scm: DiscreteScm) -> str:
-    return json.dumps(scm_to_dict(scm), indent=2)
-
-
-def scm_from_json(text: str) -> DiscreteScm:
-    return scm_from_dict(json.loads(text))

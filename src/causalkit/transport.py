@@ -11,14 +11,12 @@ weights.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import (
     EmptySelection,
     EmptyStratum,
-    UnknownState,
     WeightMismatch,
     WeightsNotNormalized,
 )
@@ -100,13 +98,11 @@ def stratified_debias(
     the plain conditional P(y | x).
     """
     from .data import marginal_counts
-    from .estimation import check_roles
+    from .estimation import _check_value, check_roles
 
     check_roles(x, y, strata)
-    if x_val not in ds.column_states(x):
-        raise UnknownState(x, x_val)
-    if y_val not in ds.column_states(y):
-        raise UnknownState(y, y_val)
+    _check_value(ds, x, x_val)
+    _check_value(ds, y, y_val)
     scols = list(strata)
     treated = {x: x_val}
 
@@ -150,13 +146,6 @@ class StratumEffects:
     @classmethod
     def from_dict(cls, payload: dict) -> "StratumEffects":
         return cls(payload["stratum"], payload["effects"], payload["weights"])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StratumEffects":
-        return cls.from_dict(json.loads(text))
 
 
 def transport_estimate(se: StratumEffects) -> float:

@@ -24,11 +24,13 @@ from causalkit import (
     backdoor_adjust,
     ci_test,
     cli,
-    graph_to_json,
+    env_to_dict,
+    graph_to_dict,
     greedy_score_search,
     make_policy,
     pc,
     recover_joint,
+    scm_to_dict,
     simulate,
 )
 from causalkit import fixtures as fx
@@ -987,6 +989,43 @@ def test_invalid_rcpt_file_is_exit_2(fixdir, datadir, tmp_path, capsys):
     assert "not a valid indicator-table file" in err
 
 
+def _xy_model_with_list_rows():
+    payload = scm_to_dict(fx.xy_scm())
+    payload["cpts"]["X"]["rows"] = [[0.5, 0.5]]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "flag, what, payload",
+    [
+        ("--rcpt", "indicator-table file", []),
+        ("--rcpt", "indicator-table file", 1),
+        ("--rcpt", "indicator-table file", "x"),
+        ("--rcpt", "indicator-table file", None),
+        ("--model", "model", scm_to_dict(fx.xy_scm()) | {"cpts": []}),
+        ("--model", "model", _xy_model_with_list_rows()),
+        ("--env", "bandit environment",
+         env_to_dict(fx.paradoxical_env()) | {"payout": 5}),
+    ],
+    ids=["rcpt-list", "rcpt-number", "rcpt-string", "rcpt-null", "model-cpts-list",
+         "model-rows-list", "env-payout-number"],
+)
+def test_json_of_the_wrong_type_is_exit_2(fixdir, datadir, tmp_path, capsys, flag, what, payload):
+    # a list, number, string or null where the codec reads a mapping
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    argv = {
+        "--rcpt": ["missing", "mask", "--data", str(datadir / "xy.csv"),
+                   "--graph", str(fixdir / "mgraph_mar.json"), "--seed", "0"],
+        "--model": ["scm", "query", "--target", "Y=1"],
+        "--env": ["bandit", "sim", "--policy", "thompson", "--horizon", "10",
+                  "--seed", "0"],
+    }[flag]
+    rc, out, err = run(capsys, argv + [flag, str(bad)])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: {bad} is not a valid {what}: ")
+
+
 def test_mask_without_a_row_for_a_declared_state_is_exit_1(fixdir, tmp_path, capsys):
     data = tmp_path / "xy_three_x.csv"
     data.write_text("X,Y\n0,1\n2,0\n1,1\n")
@@ -1447,7 +1486,7 @@ def test_selection_check_refuses_a_complete_32_node_dag(tmp_path, capsys):
         [(a, b) for i, a in enumerate(names) for b in names[i + 1:]],
     )
     path = tmp_path / "complete_graph.json"
-    path.write_text(graph_to_json(graph))
+    path.write_text(json.dumps(graph_to_dict(graph)))
     argv = ["selection-check", "--graph", str(path), "--x", "N01", "--y", "N02"]
     rc, out, err = cpu_bounded(lambda: run(capsys, argv), 5)
     assert rc == 1

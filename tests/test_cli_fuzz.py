@@ -5,7 +5,8 @@ it declares, filling each with a drawn value: an exported fixture file of
 the right or the wrong kind, a missing, unreadable or garbage file, a CSV
 with quoted cells, a duplicated header name, a field past the csv module's
 size limit or an X state the indicator tables have no row for, a model
-past the query budget or with one CPT row for 5^9 parent states, an
+past the query budget or with one CPT row for 5^9 parent states, JSON of
+the wrong shape (`[]`, `null`, a list of CPTs, a number for the payouts), an
 unwritable output path, node names and states the fixtures do or do not
 have, and numbers in or out of range. Required flags are sometimes left
 out. Every run goes through `cli.main` in-process and must return, or exit,
@@ -28,7 +29,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from causalkit import CausalGraph, apply_missingness, cli, graph_to_json, scm_to_json
+from causalkit import (
+    CausalGraph, apply_missingness, cli, env_to_dict, graph_to_dict, scm_to_dict
+)
 from causalkit import fixtures as fx
 from test_cli_golden import _subcommands
 from test_scm import cpu_bounded, cpu_bounded_child, dense_scm, nine_parent_model_json
@@ -94,7 +97,7 @@ def files(tmp_path_factory):
     }
     xy = fx.xy_scm().sample(300, seed=3)
     texts["xy.csv"] = xy.to_csv()
-    texts["complete_graph.json"] = graph_to_json(COMPLETE)
+    texts["complete_graph.json"] = json.dumps(graph_to_dict(COMPLETE))
     texts["xy_mar.csv"] = apply_missingness(
         xy, fx.mgraph_mar(), fx.mask_cpts(fx.mgraph_mar()), 7
     ).to_csv()
@@ -111,9 +114,17 @@ def files(tmp_path_factory):
     nan_model = json.loads(texts["xy_scm.json"])
     nan_model["cpts"]["X"]["rows"][""] = [float("nan"), float("nan")]
     texts["nan_model.json"] = json.dumps(nan_model)
+    # valid JSON of the wrong shape: not an object, or a list or number
+    # where the codec reads a mapping
+    texts["list_mask.json"] = "[]"
+    texts["null_mask.json"] = "null"
+    texts["list_cpts_scm.json"] = json.dumps(scm_to_dict(fx.xy_scm()) | {"cpts": []})
+    texts["bandit_number_payout.json"] = json.dumps(
+        env_to_dict(fx.paradoxical_env()) | {"payout": 5}
+    )
     # past the query budget, and a CPT of one row for 5^9 parent states
     dense = dense_scm()
-    texts["dense_scm.json"] = scm_to_json(dense)
+    texts["dense_scm.json"] = json.dumps(scm_to_dict(dense))
     texts["nine_parent_scm.json"] = nine_parent_model_json()
     words = {}
     for name, text in texts.items():

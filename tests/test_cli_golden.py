@@ -5,7 +5,8 @@ in both `--out text` and `--out json`; the sha256 of each stdout is pinned.
 So is every subcommand's flag table (option strings, dest, default,
 choices, required, nargs) and its `--help` text. A refactor of the CLI's
 plumbing must leave all of these unchanged: the same bytes on stdout, the
-same options and the same help.
+same options and the same help. The sha256 of every exported fixture file
+is pinned too, so the files `fixtures --dest` writes keep their bytes.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 
 import pytest
 
-from causalkit import cli
+from causalkit import cli, fixtures
 
 # README's quick-start session, in order; later commands read files that
 # earlier ones wrote, relative to the session directory.
@@ -186,6 +187,43 @@ def test_stdout_digest(digests, case):
 def test_every_case_is_pinned(digests):
     assert sorted(digests) == sorted(STDOUT_SHA256)
     assert len(SUBCOMMANDS) == 19
+
+
+# sha256 of each file `fixtures --dest` writes: `fixture_files()`, the CSV
+# tables and each JSON file as `json.dumps(dict codec, indent=2)`.
+FIXTURE_SHA256 = {
+    "age_strata.json": "effdbd67605d8bdacdb2a4740437bb83d13eb921ea6d580c5057f0fd2fe2fee1",
+    "bandit_five_arm.json": "47c4213f59cce90bc0ada8ec98420c5e56c4775114b05ad6fb6eedd1a7f15d13",
+    "bandit_paradoxical.json": "11269d3df895a9be3fcb6dcd09578eb83318cc8b182e83a60f18bc9fff56f909",
+    "bandit_single_intent.json": "0f9d7aa2b74f6b37b92fcbc5033f5465ca62b91ff8ab266dd5629ebfca054558",
+    "bandit_two_arm.json": "cb0abe867728fa0039c7dd50085c63b169f15d466a00d944e9e875384e90000d",
+    "collider_chain_graph.json": "5a457815715184defc4952e9cd924da84bfb8b09e16f310d203b79892a4e1e9d",
+    "collider_chain_scm.json": "9e7e7573722ab95c598fb170af30b7138cc6a5ba4c7370c556fc9ab79fd2ad4c",
+    "confounded_scm.json": "db47b8596c62bf0bededd1c8a5cea8fe1a4cb746bb41af7caf2e91fee630b744",
+    "covid_graph.json": "cb92466e99e650e08dab0c16cfa3c27c87624c304e0bab22ab8ebbe29da8ef00",
+    "covid_scm.json": "29af8b615c04ac35b7509d6272f81b4767b1ca3e74aee284a0f5147a4f8c0e5d",
+    "covid_study.csv": "ed094468ef1251bbd680b511cfc67c07daec050ee6cfb86af8477d189e7c63a8",
+    "kidney.csv": "4a8ec668c3cd7fe0281d7afc8613de8bbfb237fc98233c1f76b575c3fd510f95",
+    "kidney_graph.json": "9a34eacd23f8f53d24b0bd2c5aa66331c2aff7217075a3b4af0032d847b4993a",
+    "kidney_scm.json": "c485c88972b8a5ae6f423adfbb216daff57dad8f060a4727106828bdcfa74dee",
+    "mgraph_mar.json": "a2b0836de046fc94002c99491b5e9455d05820dd8d424cb01e075e77faf49412",
+    "mgraph_mar_mask.json": "375209923b32856fc5ec87b45d975870aa996e99e0ee7aef2223032fe43fdc4e",
+    "mgraph_mcar.json": "1ff18f59e66b1521920023e20ca2d10ab2c39a5a82f54dcd2bd3fde1ce81a958",
+    "mgraph_mcar_mask.json": "a5865cd5d9b6732d9350158cb2e64b0da918b3b1b16e7453277154a2da1ed0db",
+    "mgraph_self_masking.json": "6f5b1a98b7e7ce4586206451c5d6ac7ff0220321c82020563ecad0ab427b7635",
+    "mgraph_self_masking_mask.json": "39ba54bc74aac6e949e985af857c2bbae06ed5e381fec7452d899894b10690dc",
+    "mgraph_two_sided.json": "114b26250230c9772ff260cf8518016771a8f8b89b1c13f1f15158ad8965a683",
+    "mgraph_two_sided_mask.json": "5d54dd5b2154f5697f0051f84bbfa485917bac701eab1c26c382bb68acad0706",
+    "smoking_graph.json": "c1fbc53a2260ae80902b1cbb22b5da6a6b50773cf77c43144025bd16f6cba446",
+    "sprinkler_scm.json": "443dd5fa748c4d3fe542cd7f013dd5ce82b05ffb67a3f11ea09e630331709957",
+    "xy_scm.json": "9480988a03e37b6b8d11e57f1edeb58a552f16cc36264998064806057e574d2f",
+}
+
+
+def test_fixture_file_digests():
+    texts = fixtures.fixture_files()
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert digests == FIXTURE_SHA256
 
 
 def _subcommands(parser: argparse.ArgumentParser, prefix: str = "") -> dict:

@@ -1,6 +1,7 @@
 """Dataset container, CSV interchange, and probability tables."""
 
 import argparse
+import json
 import math
 
 import pytest
@@ -273,7 +274,7 @@ def test_prob_table_json_roundtrip():
     table = ProbTable(
         ("x", "y"), {("0", "0"): 0.25, ("0", "1"): 0.25, ("1", "1"): 0.5}
     )
-    back = ProbTable.from_json(table.to_json())
+    back = ProbTable.from_dict(json.loads(json.dumps(table.to_dict())))
     assert back.variables == table.variables
     assert back.entries == table.entries
 

@@ -1,5 +1,6 @@
 """Structure learning: the CI test, PC search, and greedy BIC hill-climb."""
 
+import json
 import math
 import os
 import subprocess
@@ -173,7 +174,7 @@ def test_pattern_json_roundtrip():
         frozenset({("a", "b"), ("d", "c")}),
         conflicts=(("b", "c"),),
     )
-    back = Pattern.from_json(p.to_json())
+    back = Pattern.from_dict(json.loads(json.dumps(p.to_dict())))
     assert back == p
 
 
@@ -341,7 +342,7 @@ def test_pc_argument_validation():
         pc_skeleton(ci_fn=lambda a, b, z: True)
     # a negative size used to run no test and return the complete skeleton
     with pytest.raises(SchemaMismatch):
-        pc_skeleton(ci_fn=lambda a, b, z: True, variables="XY", max_cond_size=-1)
+        pc_skeleton(ci_fn=lambda a, b, z: True, variables=["X", "Y"], max_cond_size=-1)
     # a float failed with a bare TypeError in `combinations`, and True ran as 1
     ds = fx.collider_chain_scm().sample(500, seed=0)
     for size in (2.5, True):
@@ -350,12 +351,20 @@ def test_pc_argument_validation():
         with pytest.raises(SchemaMismatch):
             pc(ds, max_cond_size=size)
     # a repeated name used to come back as a repeated node of the pattern
-    for variables in (["X", "X", "Y"], "XXY"):
-        with pytest.raises(SchemaMismatch, match="must not repeat"):
+    variables = ["X", "X", "Y"]
+    with pytest.raises(SchemaMismatch, match="must not repeat"):
+        pc_skeleton(ds, variables=variables)
+    with pytest.raises(SchemaMismatch, match="must not repeat"):
+        pc(ds, variables=variables)
+    with pytest.raises(SchemaMismatch, match="must not repeat"):
+        pc(ci_fn=lambda a, b, z: True, variables=variables)
+    # a string is a sequence of names to Python: "XY" searched over X and Y
+    for variables in ("XY", "XXY"):
+        with pytest.raises(SchemaMismatch, match=f"not the string '{variables}'"):
             pc_skeleton(ds, variables=variables)
-        with pytest.raises(SchemaMismatch, match="must not repeat"):
+        with pytest.raises(SchemaMismatch, match=f"not the string '{variables}'"):
             pc(ds, variables=variables)
-        with pytest.raises(SchemaMismatch, match="must not repeat"):
+        with pytest.raises(SchemaMismatch, match=f"not the string '{variables}'"):
             pc(ci_fn=lambda a, b, z: True, variables=variables)
 
 
@@ -381,7 +390,7 @@ def test_levels_the_cli_refuses_are_refused(levels):
     with pytest.raises(SchemaMismatch):
         pc(ds, **levels)
     with pytest.raises(SchemaMismatch):
-        pc(ci_fn=lambda a, b, z: True, variables="XY", **levels)
+        pc(ci_fn=lambda a, b, z: True, variables=["X", "Y"], **levels)
 
 
 def test_levels_the_cli_accepts_are_accepted():
@@ -389,7 +398,7 @@ def test_levels_the_cli_accepts_are_accepted():
     assert ci_test(ds, "X", "Z", alpha=1e-300, min_expected=0.0).dof == 1
     with pytest.raises(InsufficientData):  # every expected count is below inf
         ci_test(ds, "X", "Z", alpha=0.999, min_expected=math.inf)
-    pc(ci_fn=lambda a, b, z: True, variables="XY", alpha=0.999, min_expected=math.inf)
+    pc(ci_fn=lambda a, b, z: True, variables=["X", "Y"], alpha=0.999, min_expected=math.inf)
 
 
 # -- conflicting v-structures --------------------------------------------------------

@@ -1,6 +1,7 @@
 """M-graphs: mechanism classification, masking, recovery, testability."""
 
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
@@ -31,17 +32,13 @@ from causalkit import (
     empirical_joint,
     is_ci_testable,
     mgraph_from_dict,
-    mgraph_from_json,
     mgraph_to_dict,
-    mgraph_to_json,
     recover_joint,
 )
 from causalkit import fixtures as fx
 from causalkit.missing import (
     mask_cpts_from_dict,
-    mask_cpts_from_json,
     mask_cpts_to_dict,
-    mask_cpts_to_json,
 )
 
 import sample_oracle
@@ -191,7 +188,7 @@ def test_mgraph_json_roundtrip():
         fx.mgraph_self_masking(),
         fx.mgraph_two_sided(),
     ):
-        assert mgraph_from_json(mgraph_to_json(mg)) == mg
+        assert mgraph_from_dict(json.loads(json.dumps(mgraph_to_dict(mg)))) == mg
         assert mgraph_from_dict(mgraph_to_dict(mg)) == mg
 
 
@@ -409,6 +406,14 @@ def test_recover_on_a_table_without_rows_is_an_empty_selection():
     for mg in (fx.mgraph_mcar(), fx.mgraph_two_sided()):
         with pytest.raises(EmptyStratum):
             recover_joint(mg, masked_ds(["X", "Y", "Rx", "Ry"], []), ["X", "Y"])
+
+
+def test_recover_refuses_a_bare_string_of_names():
+    # a string is a sequence of names to Python: "XY" matched family a over X, Y
+    ds = masked_ds(["X", "Y", "Ry"], [("0", "0", "0"), ("1", None, "1")])
+    for mg in (fx.mgraph_mcar(), fx.mgraph_mar(), fx.mgraph_self_masking()):
+        with pytest.raises(SchemaMismatch, match="not the string 'XY'"):
+            recover_joint(mg, ds, "XY")
 
 
 def test_recover_skips_a_declared_cause_state_no_row_holds():
@@ -693,4 +698,4 @@ def test_mask_cpts_codec_roundtrip():
     ):
         cpts = fx.mask_cpts(builder())
         assert mask_cpts_from_dict(mask_cpts_to_dict(cpts)) == cpts
-        assert mask_cpts_from_json(mask_cpts_to_json(cpts)) == cpts
+        assert mask_cpts_from_dict(json.loads(json.dumps(mask_cpts_to_dict(cpts)))) == cpts

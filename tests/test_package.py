@@ -16,7 +16,7 @@ import causalkit
 EXPORTS = {
     "bandits": """BanditEnv BetaPosterior CausalThompsonPolicy EpsilonGreedyPolicy
         OraclePolicy Round RunResult ThompsonPolicy UniformPolicy env_from_dict
-        env_from_json env_to_dict env_to_json make_policy simulate""",
+        env_to_dict make_policy simulate""",
     "data": "MISSING DiscreteDataset ProbTable empirical_joint",
     "discovery": """CiResult Pattern TraceStep ci_test dsep_ci_fn greedy_score_search
         markov_equivalent orient pattern_of_dag pc pc_skeleton vstructures""",
@@ -29,12 +29,11 @@ EXPORTS = {
         ZeroEvidenceProbability""",
     "estimation": """SimpsonReport backdoor_adjust backdoor_adjust_ratio compute_ace
         detect_simpson_reversal empirical_conditional""",
-    "graph": """CausalGraph Node NodeKind Path graph_from_dict graph_from_json
-        graph_to_dict graph_to_json""",
+    "graph": "CausalGraph Node NodeKind Path graph_from_dict graph_to_dict",
     "missing": """NOT_RECOVERABLE Mechanism MGraph NotRecoverable TestabilityResult
         apply_missingness classify_mechanism is_ci_testable mgraph_from_dict
-        mgraph_from_json mgraph_to_dict mgraph_to_json recover_joint""",
-    "scm": "Cpt DiscreteScm scm_from_dict scm_from_json scm_to_dict scm_to_json",
+        mgraph_to_dict recover_joint""",
+    "scm": "Cpt DiscreteScm scm_from_dict scm_to_dict",
     "transport": """PathAssessment SelectionReport StratumEffects
         detect_selection_bias stratified_debias transport_estimate""",
 }
@@ -45,7 +44,7 @@ def test_star_import_binds_the_recorded_names():
     exec("from causalkit import *", namespace)
     del namespace["__builtins__"]
     want = set(EXPORTS).union(*(names.split() for names in EXPORTS.values()))
-    assert len(want) == 108
+    assert len(want) == 100
     assert set(namespace) == want
     assert set(causalkit.__all__) == want
 

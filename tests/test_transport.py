@@ -1,5 +1,6 @@
 """Selection-bias detection, stratified de-biasing, and effect transport."""
 
+import json
 import math
 
 import pytest
@@ -186,7 +187,7 @@ def test_transport_validation():
 
 def test_stratum_effects_json_roundtrip():
     se = fx.age_stratum_effects()
-    back = StratumEffects.from_json(se.to_json())
+    back = StratumEffects.from_dict(json.loads(json.dumps(se.to_dict())))
     assert back.stratum == se.stratum
     assert back.effects == dict(se.effects)
     assert back.weights == dict(se.weights)
