@@ -84,7 +84,9 @@ def _load(args, spec):
         raise _FileError(f"cannot read {path}: {exc}") from exc
     try:
         payload = text if spec is _DATA else json.loads(text)
-    except json.JSONDecodeError as exc:
+    # json.loads recurses once per nesting level, so deeply nested arrays
+    # exhaust the interpreter's stack before they can be parsed
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _FileError(f"{path} is not valid JSON: {exc}") from exc
     module, _, attr = parser.partition(":")
     parse = attrgetter(attr)(importlib.import_module(f".{module}", __package__))

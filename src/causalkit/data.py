@@ -8,8 +8,14 @@ of rows holding it, and every count is then a tally of those records
 weighted by their multiplicities. One filter, `DiscreteDataset._select`,
 keeps the records complete over the named columns and holding any `where`
 states, and one tally, `_tally`, sums them into cells. `counts` decodes the
-cells into label-keyed Counters; discovery tallies `_ranked` records, each
-code mapped to its label's rank among the column's sorted labels.
+cells into label-keyed Counters. Discovery reads the records by label rank
+(`_ranks`: each code mapped once per dataset to its label's rank among the
+column's sorted labels), on one of two routes. Where the joint state space
+of every column, one slot per column added for a missing cell, has no
+more cells than the dataset has rows, `_joint` scatters the records once
+into that dense table, within 8 bytes a row, and discovery's counts are
+sums over its axes; otherwise `_ranked` keeps the ranked records complete
+over the named columns, and `_tally` sums them.
 The label view, in which a cell is its string state label and a missing
 cell is None (MISSING), is built on first use. CSV files carry a header
 row, and empty or "NA" cells read back as missing. Column state spaces are
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -53,10 +60,11 @@ def _code_dtype(labels: Sequence[str]) -> np.dtype:
 @lru_cache(maxsize=256)
 def _rank(labels: tuple[str, ...]) -> np.ndarray:
     """Per code of a column with these states, its label's position among
-    the sorted labels. Ranks keep the codes' small type: numpy 2.4 lexsorts
-    8- and 16-bit keys by radix, and 10^4 unsorted intp keys take it five
-    to ten times as long."""
-    rank = np.empty(len(labels), dtype=_code_dtype(labels))
+    the sorted labels, and -1 last, so that indexing by the missing code -1
+    reads -1. Ranks keep the codes' small type: numpy 2.4 lexsorts 8- and
+    16-bit keys by radix, and 10^4 unsorted intp keys take it five to ten
+    times as long."""
+    rank = np.full(len(labels) + 1, -1, dtype=_code_dtype(labels))
     rank[sorted(range(len(labels)), key=labels.__getitem__)] = range(len(labels))
     rank.flags.writeable = False  # shared by every call with these labels
     return rank
@@ -178,6 +186,8 @@ class DiscreteDataset:
         self._n = n
         self._rows: list[Row] | None = None
         self._grouped: tuple[dict[str, np.ndarray], np.ndarray] | None = None
+        self._ranks_of: tuple[dict[str, np.ndarray], np.ndarray] | None = None
+        self._table: np.ndarray | None = None
 
     @classmethod
     def _from_codes(cls, columns, codes, states, n: int) -> "DiscreteDataset":
@@ -277,17 +287,51 @@ class DiscreteDataset:
             self._grouped = codes, multiplicity
         return self._grouped
 
+    def _ranks(self) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """(ranks, multiplicity) of the distinct records (`_records`), each
+        code mapped to its label rank, the position of its label among the
+        column's sorted labels, so that ranks order as labels do; a missing
+        cell keeps -1. Built once per dataset."""
+        if self._ranks_of is None:
+            records, multiplicity = self._records()
+            ranks = {c: _rank(self.states[c])[records[c]] for c in self.columns}
+            self._ranks_of = ranks, multiplicity
+        return self._ranks_of
+
+    def _joint(self) -> np.ndarray | None:
+        """The dense joint table of every column, or None where it would
+        hold more cells than the dataset has rows; that bound keeps it
+        within 8 bytes a row. An int64 array with one axis per column, in
+        column order, of len(states) + 1 slots: slot 0 counts the rows
+        missing that column and slot r + 1 the rows holding its label of
+        rank r. Built once per dataset from the ranked records (`_ranks`)."""
+        if self._table is None:
+            shape = [len(self.states[c]) + 1 for c in self.columns]
+            if not shape or math.prod(shape) > self._n:
+                return None
+            ranks, multiplicity = self._ranks()
+            self._table = np.zeros(shape, np.int64)
+            # distinct records fill distinct cells
+            self._table[tuple(ranks[c] + 1 for c in self.columns)] = multiplicity
+        return self._table
+
     def _select(
-        self, names: Sequence[str], where: Mapping[str, str] | None = None
+        self,
+        names: Sequence[str],
+        where: Mapping[str, str] | None = None,
+        records: tuple[dict[str, np.ndarray], np.ndarray] | None = None,
     ) -> tuple[list[np.ndarray], np.ndarray]:
         """(codes, multiplicity) of the distinct records observed in every
         named column and holding the `where` states: per name, each record's
         codes, and how many rows hold each record. A state outside its
-        column's states matches no record."""
+        column's states matches no record. `records` replaces the coded
+        records (`_records`) with another view of them in which -1 marks a
+        missing cell, such as their ranks (`_ranks`); `where` states are
+        still matched by code, so ranks take no `where`."""
         # a string is a sequence of names to Python: "XY" would count X, Y
         if isinstance(names, str):
             raise SchemaMismatch(f"names must be a sequence, not the string {names!r}")
-        records, multiplicity = self._records()
+        records, multiplicity = records or self._records()
         try:
             cols = [records[n] for n in names]
             # -2 matches no code, so an undeclared state selects no record
@@ -306,12 +350,9 @@ class DiscreteDataset:
         return [col[keep] for col in cols], multiplicity[keep]
 
     def _ranked(self, names: Sequence[str]) -> tuple[list[np.ndarray], np.ndarray]:
-        """(ranks, multiplicity) of `_select(names)`, each code mapped to its
-        label rank, the position of its label among the column's sorted
-        labels, so that ranks order as labels do."""
-        cols, multiplicity = self._select(names)
-        ranks = [_rank(self.states[n]).take(col) for n, col in zip(names, cols)]
-        return ranks, multiplicity
+        """(ranks, multiplicity) of the distinct records observed in every
+        named column, by label rank (`_ranks`)."""
+        return self._select(names, records=self._ranks())
 
     def counts(
         self, names: Sequence[str], where: Mapping[str, str] | None = None

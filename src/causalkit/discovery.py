@@ -5,10 +5,14 @@ conditioning-set stratum, statistics and degrees of freedom summed across
 strata, and a hard InsufficientData error whenever an expected cell falls
 below the minimum count. Its tail probability comes from `_chi2_sf`, the
 finite chi-square series at integer degrees of freedom.
-Both the test and the BIC cache count from the dataset's distinct records,
-coded by label rank (`DiscreteDataset._ranked`): `data._tally`, the kernel
-`counts` uses too, sums equal cells and hands them back in label order, so
-the sums run as they would over sorted label tuples and give the same floats.
+Both the test and the BIC cache count by label rank, on one of two routes.
+Where the dataset's dense joint table fits its row count
+(`DiscreteDataset._joint`), a test sums it onto its (z..., x, y) axes and
+the cache onto each variable subset; otherwise both tally the label-ranked
+distinct records (`DiscreteDataset._ranked`) with `data._tally`, the kernel
+`counts` uses too. Either way the cells come in label order, zero cells
+are skipped, and the sums run as they would over sorted label tuples and
+give the same floats.
 `pc_skeleton`/`orient` implement the PC loop with conditioning sets drawn
 from current adjacencies (sizes 0..max), v-structure orientation with
 conflict reporting, and the away-from-collider propagation rule.
@@ -24,10 +28,11 @@ candidates are exact and broken lexicographically.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, repeat
-from typing import Callable, Optional, Sequence
+from itertools import combinations, product, repeat
+from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .data import DiscreteDataset, _tally
 from .errors import EmptySelection, InsufficientData, SchemaMismatch
@@ -80,6 +85,45 @@ def _chi2_sf(dof: int, x: float) -> float:
     return head + math.exp(top - h) * math.fsum(math.exp(v - top) for v in logs)
 
 
+# (z ranks, x ranks, y ranks, x-major grid of counts) per stratum
+Strata = Iterable[tuple[tuple[int, ...], Sequence[int], Sequence[int], list[list[int]]]]
+
+
+def _sparse_strata(ranks: list[np.ndarray], weights: np.ndarray) -> Strata:
+    """The (z ranks, x ranks, y ranks, cells) of each stratum of the ranked
+    records over (x, y, z...), in rank order: `_tally` sums them into
+    (z..., x, y) cells, and each stratum's cells become the x-major grid of
+    counts over the x and y ranks observed in it."""
+    # cells in (z..., x, y) rank order, which is label order, so each
+    # stratum is one run and its cells come x-major
+    cells, tally = _tally(ranks[2:] + ranks[:2], weights)
+    *zr, xr, yr = (col.tolist() for col in cells)
+    strata: dict[tuple, dict[int, dict[int, int]]] = {}
+    for zv, xv, yv, c in zip(zip(*zr) if zr else repeat(()), xr, yr, tally.tolist()):
+        strata.setdefault(zv, {}).setdefault(xv, {})[yv] = c
+    for zv, by_x in strata.items():
+        ys = sorted(set().union(*by_x.values()))
+        grid = [[line.get(yv, 0) for yv in ys] for line in by_x.values()]
+        yield zv, list(by_x), ys, grid
+
+
+def _dense_strata(table: np.ndarray, axes: list[int]) -> Strata:
+    """The strata of the dense joint table (`DiscreteDataset._joint`) over
+    the columns at `axes`, (x, y, z...): the table is summed onto the
+    (z..., x, y) axes and its missing slots dropped, and each stratum, in
+    rank order, is the full x-major grid of counts over the x and y ranks,
+    unobserved ones included."""
+    summed = np.einsum(table, range(table.ndim), axes[2:] + axes[:2])
+    sub = summed[(slice(1, None),) * len(axes)]
+    *zshape, kx, ky = sub.shape
+    return zip(
+        product(*map(range, zshape)),
+        repeat(range(kx)),
+        repeat(range(ky)),
+        sub.reshape(math.prod(zshape), kx, ky).tolist(),
+    )
+
+
 def ci_test(
     ds: DiscreteDataset,
     x: str,
@@ -106,48 +150,47 @@ def ci_test(
     if len(set(zcols)) < len(zcols):
         raise SchemaMismatch(f"z must not repeat a name, got z = {zcols}")
     names = [x, y] + zcols
-    ranks, weights = ds._ranked(names)
-    if not len(weights):
-        raise EmptySelection(f"no complete rows over {names}")
+    table = ds._joint()
+    if table is None:
+        strata = _sparse_strata(*ds._ranked(names))
+    else:
+        strata = _dense_strata(table, [ds.column_index(n) for n in names])
 
-    # cells in (z..., x, y) rank order, which is label order, so each
-    # stratum is one run and its cells come x-major as the sum below visits
-    # them
-    cells, tally = _tally(ranks[2:] + ranks[:2], weights)
-    *zr, xr, yr = (col.tolist() for col in cells)
-    strata: list[tuple[tuple, dict]] = []
-    for zv, xv, yv, c in zip(zip(*zr) if zr else repeat(()), xr, yr, tally.tolist()):
-        if not strata or strata[-1][0] != zv:
-            strata.append((zv, {}))
-        strata[-1][1][xv, yv] = c
-
+    # a stratum's unobserved x and y ranks, zero rows and columns of its
+    # grid, are skipped: they add no term and no degree of freedom
     statistic = 0.0
     dof = 0
-    for zv, table in strata:
-        row_tot: dict[int, int] = defaultdict(int)
-        col_tot: dict[int, int] = defaultdict(int)
-        for (xv, yv), c in table.items():
-            row_tot[xv] += c
-            col_tot[yv] += c
-        if len(row_tot) < 2 or len(col_tot) < 2:
+    total = 0
+    for zv, xs, ys, cells in strata:
+        row = list(map(sum, cells))
+        col = list(map(sum, zip(*cells)))
+        n_s = sum(row)
+        total += n_s
+        kx = len(row) - row.count(0)
+        ky = len(col) - col.count(0)
+        if kx < 2 or ky < 2:
             continue
-        n_s = sum(row_tot.values())
-        ys = sorted(col_tot)
-        for xv in row_tot:
-            for yv in ys:
-                expected = row_tot[xv] * col_tot[yv] / n_s
+        for xv, r, line in zip(xs, row, cells):
+            if not r:
+                continue
+            for yv, c, observed in zip(ys, col, line):
+                if not c:
+                    continue
+                expected = r * c / n_s
                 if expected < min_expected:
                     xl, yl, *zl = (
-                        sorted(ds.column_states(n))[r]
-                        for n, r in zip(names, (xv, yv, *zv))
+                        sorted(ds.column_states(n))[rank]
+                        for n, rank in zip(names, (xv, yv, *zv))
                     )
                     raise InsufficientData(
                         f"expected count {expected:.2f} < {min_expected} for "
                         f"({x}={xl}, {y}={yl}) in stratum {dict(zip(zcols, zl))}"
                     )
-                observed = table.get((xv, yv), 0)
                 statistic += (observed - expected) ** 2 / expected
-        dof += (len(row_tot) - 1) * (len(col_tot) - 1)
+        dof += (kx - 1) * (ky - 1)
+    # no stratum raises InsufficientData when no row is complete
+    if not total:
+        raise EmptySelection(f"no complete rows over {names}")
 
     p_value = _chi2_sf(dof, statistic) if dof > 0 else 1.0
     return CiResult(
@@ -425,23 +468,38 @@ class TraceStep:
 class _BicCache:
     """Canonical Σ c·ln c per variable subset, so family log-likelihoods of
     symmetric candidates are identical float expressions. Every subset is
-    tallied from the distinct records complete over all variables, by their
-    label ranks, and summed in label order."""
+    counted from the rows complete over all variables, in label order: as
+    a sum of the dense joint table's complete slice (`[1:]` on every axis),
+    transposed to sorted names, where the dataset has one, and otherwise by
+    `_tally` over the label-ranked distinct records."""
 
     def __init__(self, ds: DiscreteDataset):
         names = sorted(ds.columns)
-        ranks, self.weights = ds._ranked(names)
-        if not len(self.weights):
+        table = ds._joint()
+        if table is None:
+            self.full = None
+            ranks, self.weights = ds._ranked(names)
+            self.ranks = dict(zip(names, ranks))
+            n = self.weights.sum()
+        else:
+            complete = table[(slice(1, None),) * table.ndim]
+            self.full = complete.transpose([ds.column_index(v) for v in names])
+            n = self.full.sum()
+        if not n:
             raise EmptySelection("no complete rows")
         self.names = names
-        self.ranks = dict(zip(names, ranks))
-        self.n = int(self.weights.sum())
+        self.n = int(n)
         self.states = {v: ds.column_states(v) for v in names}
         self._cache: dict[frozenset, float] = {}
 
     def log_count_sum(self, subset: frozenset) -> float:
         if subset not in self._cache:
-            _, tally = _tally([self.ranks[v] for v in sorted(subset)], self.weights)
+            if self.full is None:
+                _, tally = _tally([self.ranks[v] for v in sorted(subset)], self.weights)
+            else:
+                rest = tuple(i for i, v in enumerate(self.names) if v not in subset)
+                tally = self.full.sum(axis=rest).ravel()
+                tally = tally[tally != 0]
             # math.log, not np.log: numpy's SIMD log may round otherwise
             self._cache[subset] = sum(c * math.log(c) for c in tally.tolist())
         return self._cache[subset]

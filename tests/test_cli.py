@@ -834,6 +834,17 @@ def test_unparseable_json_is_exit_2(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+def test_json_nested_past_the_recursion_limit_is_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    rc, out, err = run(
+        capsys, ["dsep", "--graph", str(deep), "--x", "a", "--y", "b"]
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {deep} is not valid JSON: maximum recursion depth")
+
+
 def test_wrong_shape_json_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "shape.json"
     bad.write_text(json.dumps({"foo": 1}))

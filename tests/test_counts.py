@@ -10,10 +10,16 @@ error; chi-square p-values, from another tail routine, to a relative 1e-13.
 The counts' keys must also come in raveled-code order, on which the
 estimators' float sums depend, on edge-case, derived, nearly-all-distinct
 and very wide tables as well.
+
+`ci_test` and the BIC cache have two routes: a sum over the dataset's
+dense joint table where its cells are no more than the rows, and a tally
+of label-ranked distinct records otherwise. Every oracle comparison of
+either runs on both routes (`on_route`).
 """
 
 import math
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import combinations
 
@@ -63,6 +69,29 @@ def code_order(ds, names, counts):
     return sorted(counts, key=lambda key: [s.index(v) for s, v in zip(states, key)])
 
 
+ROUTES_OF_COUNT = ("dense", "sparse")
+
+
+@contextmanager
+def on_route(route):
+    """Count on `route` inside the block. "dense" is the library's own
+    choice, and a dataset that has a dense joint table must not tally ranked
+    records, so a silent fallback fails; "sparse" takes every table away,
+    so each test and BIC sum tallies ranked records."""
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "sparse":
+            mp.setattr(DiscreteDataset, "_joint", lambda ds: None)
+        else:
+            ranked = DiscreteDataset._ranked
+
+            def guarded(ds, names):
+                assert ds._joint() is None, "a dense table was left unread"
+                return ranked(ds, names)
+
+            mp.setattr(DiscreteDataset, "_ranked", guarded)
+        yield
+
+
 def outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -110,10 +139,12 @@ def test_kernel_equals_counter_route_on_random_tables(data):
     if len(distinct) >= 2:
         x, y, *z = distinct
         min_expected = data.draw(st.sampled_from([0.0, 1.0, 5.0]))
-        assert_same_ci(
-            outcome(ci_test, ds, x, y, z, min_expected=min_expected),
-            outcome(oracle.ci_test, ds, x, y, z, min_expected=min_expected),
-        )
+        want = outcome(oracle.ci_test, ds, x, y, z, min_expected=min_expected)
+        for route in ROUTES_OF_COUNT:
+            with on_route(route):
+                assert_same_ci(
+                    outcome(ci_test, ds, x, y, z, min_expected=min_expected), want
+                )
 
 
 def test_no_complete_rows_is_an_empty_selection():
@@ -272,50 +303,67 @@ def test_repeated_records_keep_their_counts_past_an_int64_overflow():
 @pytest.mark.parametrize("seed", range(6))
 def test_ci_tests_match_oracle_bitwise_on_collider_chain(seed):
     ds = fx.collider_chain_scm().sample(10_000, seed)
+    # 81 cells for 10^4 rows: PC's own table takes the dense route
+    assert ds._joint() is not None
     for x, y in combinations(ds.columns, 2):
         rest = [v for v in ds.columns if v not in (x, y)]
         for size in range(3):
             for z in combinations(rest, size):
-                assert_same_ci(
-                    outcome(ci_test, ds, x, y, z), outcome(oracle.ci_test, ds, x, y, z)
-                )
+                want = outcome(oracle.ci_test, ds, x, y, z)
+                for route in ROUTES_OF_COUNT:
+                    with on_route(route):
+                        assert_same_ci(outcome(ci_test, ds, x, y, z), want)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_bic_counts_and_greedy_trace_match_oracle_bitwise(seed, monkeypatch):
     ds = fx.collider_chain_scm().sample(10_000, seed)
-    cache, slow = discovery._BicCache(ds), oracle.BicCache(ds)
-    for size in range(1, len(ds.columns) + 1):
-        for subset in map(frozenset, combinations(ds.columns, size)):
-            assert repr(cache.log_count_sum(subset)) == repr(slow.log_count_sum(subset))
+    assert ds._joint() is not None
+    slow = oracle.BicCache(ds)
+    runs = []
+    for route in ROUTES_OF_COUNT:
+        with on_route(route):
+            cache = discovery._BicCache(ds)
+            for size in range(len(ds.columns) + 1):
+                for subset in map(frozenset, combinations(ds.columns, size)):
+                    assert repr(cache.log_count_sum(subset)) == repr(
+                        slow.log_count_sum(subset)
+                    )
+            runs.append(greedy_score_search(ds))
 
-    graph, trace = greedy_score_search(ds)
     monkeypatch.setattr(discovery, "_BicCache", oracle.BicCache)
     slow_graph, slow_trace = greedy_score_search(ds)
-    assert graph == slow_graph
-    assert repr(trace) == repr(slow_trace)
+    for graph, trace in runs:
+        assert graph == slow_graph
+        assert repr(trace) == repr(slow_trace)
 
 
 @settings(max_examples=300, deadline=None)
 @given(tables())
 def test_bic_counts_and_greedy_trace_match_oracle_on_random_tables(ds):
-    cache, slow = outcome(discovery._BicCache, ds), outcome(oracle.BicCache, ds)
-    if isinstance(slow, tuple):
-        assert cache == slow
-    else:
-        for size in range(len(ds.columns) + 1):
-            for subset in map(frozenset, combinations(ds.columns, size)):
-                assert repr(cache.log_count_sum(subset)) == repr(
-                    slow.log_count_sum(subset)
-                )
-
-    got = outcome(greedy_score_search, ds)
+    slow = outcome(oracle.BicCache, ds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discovery, "_BicCache", oracle.BicCache)
         want = outcome(greedy_score_search, ds)
-    # a graph and its trace, or an error's type and message
-    assert got[0] == want[0]
-    assert repr(got[1]) == repr(want[1])
+    for route in ROUTES_OF_COUNT:
+        with on_route(route):
+            assert_same_bic_sums(outcome(discovery._BicCache, ds), slow, ds)
+            got = outcome(greedy_score_search, ds)
+        # a graph and its trace, or an error's type and message
+        assert got[0] == want[0]
+        assert repr(got[1]) == repr(want[1])
+
+
+def assert_same_bic_sums(cache, slow, ds) -> None:
+    """The library's BIC cache against the oracle's: the same error, or the
+    same Σ c·ln c, to the last bit, over every subset of the columns, the
+    empty one included."""
+    if isinstance(slow, tuple):
+        assert cache == slow
+        return
+    for size in range(len(ds.columns) + 1):
+        for subset in map(frozenset, combinations(ds.columns, size)):
+            assert repr(cache.log_count_sum(subset)) == repr(slow.log_count_sum(subset))
 
 
 def seeded_tables(seed, count):
@@ -346,24 +394,25 @@ def seeded_tables(seed, count):
 @pytest.mark.parametrize("seed", range(3))
 def test_ci_tests_and_bic_sums_match_oracle_on_seeded_tables(seed):
     rng = np.random.default_rng(100 + seed)
+    dense = 0
     for ds in seeded_tables(seed, 60):
+        dense += ds._joint() is not None
         for x, y in combinations(ds.columns, 2):
             rest = [c for c in ds.columns if c not in (x, y)]
             z = list(rng.permutation(rest)[: rng.integers(0, len(rest) + 1)])
             min_expected = rng.choice([0.0, 1.0, 5.0])
-            assert_same_ci(
-                outcome(ci_test, ds, y, x, z, min_expected=min_expected),
-                outcome(oracle.ci_test, ds, y, x, z, min_expected=min_expected),
-            )
-        cache, slow = outcome(discovery._BicCache, ds), outcome(oracle.BicCache, ds)
-        if isinstance(slow, tuple):
-            assert cache == slow
-            continue
-        for size in range(1, len(ds.columns) + 1):
-            for subset in map(frozenset, combinations(ds.columns, size)):
-                assert repr(cache.log_count_sum(subset)) == repr(
-                    slow.log_count_sum(subset)
-                )
+            want = outcome(oracle.ci_test, ds, y, x, z, min_expected=min_expected)
+            for route in ROUTES_OF_COUNT:
+                with on_route(route):
+                    assert_same_ci(
+                        outcome(ci_test, ds, y, x, z, min_expected=min_expected), want
+                    )
+        slow = outcome(oracle.BicCache, ds)
+        for route in ROUTES_OF_COUNT:
+            with on_route(route):
+                assert_same_bic_sums(outcome(discovery._BicCache, ds), slow, ds)
+    # the tables span both sides of the row-count bound
+    assert 10 < dense < 50
 
 
 def test_counts_over_a_wide_table_allocate_no_dense_table():
@@ -375,20 +424,56 @@ def test_counts_over_a_wide_table_allocate_no_dense_table():
     ]
     ds = DiscreteDataset(columns, rows, {c: ("0", "1") for c in columns})
 
+    calls = [("v00", "v01", []), ("v69", "v03", ["v40", "v10", "v22"])]
     tracemalloc.start()
     try:
         got = ds.counts(columns)
+        tests = [ci_test(ds, x, y, z, min_expected=0.0) for x, y, z in calls]
+        skeleton, _ = discovery.pc_skeleton(ds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert got == oracle.counts(ds, columns)
-    # the joint space has 2**70 cells; the counting stays within the data's size
+    # the joint space has 2**70 cells, and the dense table would hold 3**70;
+    # the counting stays within the data's size
     assert peak < 4 * 2**20
+    assert ds._joint() is None
+    for result, (x, y, z) in zip(tests, calls):
+        assert_same_ci(result, oracle.ci_test(ds, x, y, z, min_expected=0.0))
+    assert skeleton.nodes == tuple(columns)
 
     every = frozenset(columns)
     assert discovery._BicCache(ds).log_count_sum(every) == oracle.BicCache(
         ds
     ).log_count_sum(every)
+
+
+@pytest.mark.parametrize("missing_rows", [0, 1])
+def test_the_dense_table_is_built_only_within_the_row_count(missing_rows):
+    # 3 * 3 * 4 = 36 joint cells, slot 0 of each axis for a missing cell
+    states = {"a": ("1", "0"), "b": ("x", "y"), "c": ("q", "p", "r")}
+    rng = np.random.default_rng(3)
+    rows = [
+        tuple(None if rng.random() < 0.1 else rng.choice(s) for s in states.values())
+        for _ in range(36 - missing_rows)
+    ]
+    ds = DiscreteDataset(list(states), rows, states)
+    table = ds._joint()
+    if missing_rows:
+        assert table is None
+    else:
+        assert table.shape == (3, 3, 4)
+        assert table.nbytes == 8 * len(ds)
+        assert table.sum() == len(ds)
+    for x, y in combinations(ds.columns, 2):
+        rest = [c for c in ds.columns if c not in (x, y)]
+        for z in ([], rest):
+            for min_expected in (0.0, 1.0, 5.0):
+                assert_same_ci(
+                    outcome(ci_test, ds, x, y, z, min_expected=min_expected),
+                    outcome(oracle.ci_test, ds, x, y, z, min_expected=min_expected),
+                )
+    assert_same_bic_sums(discovery._BicCache(ds), oracle.BicCache(ds), ds)
 
 
 ROUTES = [
