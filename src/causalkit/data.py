@@ -11,11 +11,11 @@ states, and one tally, `_tally`, sums them into cells. `counts` decodes the
 cells into label-keyed Counters. Discovery reads the records by label rank
 (`_ranks`: each code mapped once per dataset to its label's rank among the
 column's sorted labels), on one of two routes. Where the joint state space
-of every column, one slot per column added for a missing cell, has no
-more cells than the dataset has rows, `_joint` scatters the records once
-into that dense table, within 8 bytes a row, and discovery's counts are
-sums over its axes; otherwise `_ranked` keeps the ranked records complete
-over the named columns, and `_tally` sums them.
+of every column, with one more slot in a column that has a missing cell,
+has no more cells than the dataset has distinct records, `_joint` scatters
+the records once into that dense table, and PC's tests are sums over its
+axes; otherwise, and for the BIC search, `_ranked` keeps the ranked
+records complete over the named columns, and `_tally` sums them.
 The label view, in which a cell is its string state label and a missing
 cell is None (MISSING), is built on first use. CSV files carry a header
 row, and empty or "NA" cells read back as missing. Column state spaces are
@@ -187,7 +187,8 @@ class DiscreteDataset:
         self._rows: list[Row] | None = None
         self._grouped: tuple[dict[str, np.ndarray], np.ndarray] | None = None
         self._ranks_of: tuple[dict[str, np.ndarray], np.ndarray] | None = None
-        self._table: np.ndarray | None = None
+        # (the dense joint table or None), once decided
+        self._table: tuple[np.ndarray | None] | None = None
 
     @classmethod
     def _from_codes(cls, columns, codes, states, n: int) -> "DiscreteDataset":
@@ -300,20 +301,27 @@ class DiscreteDataset:
 
     def _joint(self) -> np.ndarray | None:
         """The dense joint table of every column, or None where it would
-        hold more cells than the dataset has rows; that bound keeps it
-        within 8 bytes a row. An int64 array with one axis per column, in
-        column order, of len(states) + 1 slots: slot 0 counts the rows
-        missing that column and slot r + 1 the rows holding its label of
-        rank r. Built once per dataset from the ranked records (`_ranks`)."""
+        hold more cells than the dataset has distinct records (`_records`):
+        a sum over it then visits no more cells than a tally of the records
+        visits records, and it holds at most 8 bytes a row. An int64 array with one axis per
+        column, in column order: slot r counts the rows holding the label of
+        rank r, and a column with a missing cell has one more slot, last,
+        for the rows missing it. Decided and built once per dataset from
+        the ranked records (`_ranks`)."""
         if self._table is None:
-            shape = [len(self.states[c]) + 1 for c in self.columns]
-            if not shape or math.prod(shape) > self._n:
-                return None
             ranks, multiplicity = self._ranks()
-            self._table = np.zeros(shape, np.int64)
-            # distinct records fill distinct cells
-            self._table[tuple(ranks[c] + 1 for c in self.columns)] = multiplicity
-        return self._table
+            shape = [
+                len(self.states[c]) + bool((ranks[c] < 0).any()) for c in self.columns
+            ]
+            table = None
+            # a dataset with no columns has no axes to sum onto
+            if shape and math.prod(shape) <= len(multiplicity):
+                table = np.zeros(shape, np.int64)
+                # rank -1 indexes the last slot; distinct records fill
+                # distinct cells
+                table[tuple(ranks[c] for c in self.columns)] = multiplicity
+            self._table = (table,)
+        return self._table[0]
 
     def _select(
         self,

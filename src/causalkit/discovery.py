@@ -5,14 +5,14 @@ conditioning-set stratum, statistics and degrees of freedom summed across
 strata, and a hard InsufficientData error whenever an expected cell falls
 below the minimum count. Its tail probability comes from `_chi2_sf`, the
 finite chi-square series at integer degrees of freedom.
-Both the test and the BIC cache count by label rank, on one of two routes.
-Where the dataset's dense joint table fits its row count
-(`DiscreteDataset._joint`), a test sums it onto its (z..., x, y) axes and
-the cache onto each variable subset; otherwise both tally the label-ranked
-distinct records (`DiscreteDataset._ranked`) with `data._tally`, the kernel
-`counts` uses too. Either way the cells come in label order, zero cells
-are skipped, and the sums run as they would over sorted label tuples and
-give the same floats.
+Both the test and the BIC cache count by label rank. The cache, and a test
+on a dataset with more joint cells than distinct records, tally the
+label-ranked distinct records (`DiscreteDataset._ranked`) with
+`data._tally`, the kernel `counts` uses too; a test on a dataset whose
+dense joint table has no more cells than distinct records
+(`DiscreteDataset._joint`) sums it onto its (z..., x, y) axes. Either way
+the cells come in label order, zero cells are skipped, and the sums run as
+they would over sorted label tuples and give the same floats.
 `pc_skeleton`/`orient` implement the PC loop with conditioning sets drawn
 from current adjacencies (sizes 0..max), v-structure orientation with
 conflict reporting, and the away-from-collider propagation rule.
@@ -85,15 +85,20 @@ def _chi2_sf(dof: int, x: float) -> float:
     return head + math.exp(top - h) * math.fsum(math.exp(v - top) for v in logs)
 
 
-# (z ranks, x ranks, y ranks, x-major grid of counts) per stratum
-Strata = Iterable[tuple[tuple[int, ...], Sequence[int], Sequence[int], list[list[int]]]]
+# (z ranks, x ranks, y ranks, x-major grid of counts) per stratum, or None
+# where no row is complete over the names
+Strata = Optional[Iterable[tuple[tuple[int, ...], Sequence[int], Sequence[int], list]]]
 
 
-def _sparse_strata(ranks: list[np.ndarray], weights: np.ndarray) -> Strata:
-    """The (z ranks, x ranks, y ranks, cells) of each stratum of the ranked
-    records over (x, y, z...), in rank order: `_tally` sums them into
-    (z..., x, y) cells, and each stratum's cells become the x-major grid of
-    counts over the x and y ranks observed in it."""
+def _sparse_strata(ds: DiscreteDataset, names: list[str]) -> Strata:
+    """The (z ranks, x ranks, y ranks, cells) of each stratum over `names`,
+    (x, y, z...), that holds two x and two y ranks, in rank order: `_tally`
+    sums the ranked records (`DiscreteDataset._ranked`) into (z..., x, y)
+    cells, and those strata's cells become the x-major grid of counts over
+    the x and y ranks observed in them."""
+    ranks, weights = ds._ranked(names)
+    if not len(weights):
+        return None
     # cells in (z..., x, y) rank order, which is label order, so each
     # stratum is one run and its cells come x-major
     cells, tally = _tally(ranks[2:] + ranks[:2], weights)
@@ -101,20 +106,25 @@ def _sparse_strata(ranks: list[np.ndarray], weights: np.ndarray) -> Strata:
     strata: dict[tuple, dict[int, dict[int, int]]] = {}
     for zv, xv, yv, c in zip(zip(*zr) if zr else repeat(()), xr, yr, tally.tolist()):
         strata.setdefault(zv, {}).setdefault(xv, {})[yv] = c
-    for zv, by_x in strata.items():
-        ys = sorted(set().union(*by_x.values()))
-        grid = [[line.get(yv, 0) for yv in ys] for line in by_x.values()]
-        yield zv, list(by_x), ys, grid
+    return [
+        (zv, list(by_x), ys, [[line.get(yv, 0) for yv in ys] for line in by_x.values()])
+        for zv, by_x in strata.items()
+        if len(by_x) > 1 and len(ys := sorted(set().union(*by_x.values()))) > 1
+    ]
 
 
-def _dense_strata(table: np.ndarray, axes: list[int]) -> Strata:
-    """The strata of the dense joint table (`DiscreteDataset._joint`) over
-    the columns at `axes`, (x, y, z...): the table is summed onto the
+def _dense_strata(ds: DiscreteDataset, names: list[str]) -> Strata:
+    """The strata over `names`, (x, y, z...), of the dataset's dense joint
+    table (`DiscreteDataset._joint`): the table is summed onto the
     (z..., x, y) axes and its missing slots dropped, and each stratum, in
     rank order, is the full x-major grid of counts over the x and y ranks,
     unobserved ones included."""
-    summed = np.einsum(table, range(table.ndim), axes[2:] + axes[:2])
-    sub = summed[(slice(1, None),) * len(axes)]
+    order = names[2:] + names[:2]
+    table = ds._joint()
+    summed = np.einsum(table, range(table.ndim), [ds.column_index(n) for n in order])
+    sub = summed[tuple(slice(len(ds.column_states(n))) for n in order)]
+    if not sub.any():
+        return None
     *zshape, kx, ky = sub.shape
     return zip(
         product(*map(range, zshape)),
@@ -150,22 +160,18 @@ def ci_test(
     if len(set(zcols)) < len(zcols):
         raise SchemaMismatch(f"z must not repeat a name, got z = {zcols}")
     names = [x, y] + zcols
-    table = ds._joint()
-    if table is None:
-        strata = _sparse_strata(*ds._ranked(names))
-    else:
-        strata = _dense_strata(table, [ds.column_index(n) for n in names])
+    strata = (_sparse_strata if ds._joint() is None else _dense_strata)(ds, names)
+    if strata is None:
+        raise EmptySelection(f"no complete rows over {names}")
 
     # a stratum's unobserved x and y ranks, zero rows and columns of its
     # grid, are skipped: they add no term and no degree of freedom
     statistic = 0.0
     dof = 0
-    total = 0
     for zv, xs, ys, cells in strata:
         row = list(map(sum, cells))
         col = list(map(sum, zip(*cells)))
         n_s = sum(row)
-        total += n_s
         kx = len(row) - row.count(0)
         ky = len(col) - col.count(0)
         if kx < 2 or ky < 2:
@@ -188,9 +194,6 @@ def ci_test(
                     )
                 statistic += (observed - expected) ** 2 / expected
         dof += (kx - 1) * (ky - 1)
-    # no stratum raises InsufficientData when no row is complete
-    if not total:
-        raise EmptySelection(f"no complete rows over {names}")
 
     p_value = _chi2_sf(dof, statistic) if dof > 0 else 1.0
     return CiResult(
@@ -468,38 +471,23 @@ class TraceStep:
 class _BicCache:
     """Canonical Σ c·ln c per variable subset, so family log-likelihoods of
     symmetric candidates are identical float expressions. Every subset is
-    counted from the rows complete over all variables, in label order: as
-    a sum of the dense joint table's complete slice (`[1:]` on every axis),
-    transposed to sorted names, where the dataset has one, and otherwise by
-    `_tally` over the label-ranked distinct records."""
+    tallied from the distinct records complete over all variables, by their
+    label ranks, and summed in label order."""
 
     def __init__(self, ds: DiscreteDataset):
         names = sorted(ds.columns)
-        table = ds._joint()
-        if table is None:
-            self.full = None
-            ranks, self.weights = ds._ranked(names)
-            self.ranks = dict(zip(names, ranks))
-            n = self.weights.sum()
-        else:
-            complete = table[(slice(1, None),) * table.ndim]
-            self.full = complete.transpose([ds.column_index(v) for v in names])
-            n = self.full.sum()
-        if not n:
+        ranks, self.weights = ds._ranked(names)
+        if not len(self.weights):
             raise EmptySelection("no complete rows")
         self.names = names
-        self.n = int(n)
+        self.ranks = dict(zip(names, ranks))
+        self.n = int(self.weights.sum())
         self.states = {v: ds.column_states(v) for v in names}
         self._cache: dict[frozenset, float] = {}
 
     def log_count_sum(self, subset: frozenset) -> float:
         if subset not in self._cache:
-            if self.full is None:
-                _, tally = _tally([self.ranks[v] for v in sorted(subset)], self.weights)
-            else:
-                rest = tuple(i for i, v in enumerate(self.names) if v not in subset)
-                tally = self.full.sum(axis=rest).ravel()
-                tally = tally[tally != 0]
+            _, tally = _tally([self.ranks[v] for v in sorted(subset)], self.weights)
             # math.log, not np.log: numpy's SIMD log may round otherwise
             self._cache[subset] = sum(c * math.log(c) for c in tally.tolist())
         return self._cache[subset]

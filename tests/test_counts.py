@@ -11,17 +11,17 @@ The counts' keys must also come in raveled-code order, on which the
 estimators' float sums depend, on edge-case, derived, nearly-all-distinct
 and very wide tables as well.
 
-`ci_test` and the BIC cache have two routes: a sum over the dataset's
-dense joint table where its cells are no more than the rows, and a tally
-of label-ranked distinct records otherwise. Every oracle comparison of
-either runs on both routes (`on_route`).
+`ci_test` has two routes: a sum over the dataset's dense joint table where
+its cells are no more than the distinct records, and a tally of
+label-ranked distinct records otherwise, the BIC cache's only route. Every
+oracle comparison of a test runs on both routes (`on_route`).
 """
 
 import math
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -74,21 +74,21 @@ ROUTES_OF_COUNT = ("dense", "sparse")
 
 @contextmanager
 def on_route(route):
-    """Count on `route` inside the block. "dense" is the library's own
-    choice, and a dataset that has a dense joint table must not tally ranked
-    records, so a silent fallback fails; "sparse" takes every table away,
-    so each test and BIC sum tallies ranked records."""
+    """Run CI tests on `route` inside the block. "dense" is the library's
+    own choice, and a test on a dataset that has a dense joint table must
+    not tally ranked records, so a silent fallback fails; "sparse" takes
+    every table away, so each test tallies ranked records."""
     with pytest.MonkeyPatch.context() as mp:
         if route == "sparse":
             mp.setattr(DiscreteDataset, "_joint", lambda ds: None)
         else:
-            ranked = DiscreteDataset._ranked
+            sparse = discovery._sparse_strata
 
             def guarded(ds, names):
                 assert ds._joint() is None, "a dense table was left unread"
-                return ranked(ds, names)
+                return sparse(ds, names)
 
-            mp.setattr(DiscreteDataset, "_ranked", guarded)
+            mp.setattr(discovery, "_sparse_strata", guarded)
         yield
 
 
@@ -213,6 +213,9 @@ def test_empty_tables_count_alike():
     assert DiscreteDataset([], []).counts([]) == {}
     for ds in (no_rows, no_columns):
         assert ds.counts([]) == oracle.counts(ds, [])
+    assert outcome(ci_test, no_rows, "A", "B")[0] is EmptySelection
+    with pytest.raises(SchemaMismatch, match="no column named 'A'"):
+        ci_test(no_columns, "A", "B")
 
 
 def test_unknown_columns_are_schema_errors():
@@ -303,7 +306,8 @@ def test_repeated_records_keep_their_counts_past_an_int64_overflow():
 @pytest.mark.parametrize("seed", range(6))
 def test_ci_tests_match_oracle_bitwise_on_collider_chain(seed):
     ds = fx.collider_chain_scm().sample(10_000, seed)
-    # 81 cells for 10^4 rows: PC's own table takes the dense route
+    # 16 joint cells, no cell missing, and all 16 records seen: PC's own
+    # table takes the dense route
     assert ds._joint() is not None
     for x, y in combinations(ds.columns, 2):
         rest = [v for v in ds.columns if v not in (x, y)]
@@ -318,24 +322,13 @@ def test_ci_tests_match_oracle_bitwise_on_collider_chain(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_bic_counts_and_greedy_trace_match_oracle_bitwise(seed, monkeypatch):
     ds = fx.collider_chain_scm().sample(10_000, seed)
-    assert ds._joint() is not None
-    slow = oracle.BicCache(ds)
-    runs = []
-    for route in ROUTES_OF_COUNT:
-        with on_route(route):
-            cache = discovery._BicCache(ds)
-            for size in range(len(ds.columns) + 1):
-                for subset in map(frozenset, combinations(ds.columns, size)):
-                    assert repr(cache.log_count_sum(subset)) == repr(
-                        slow.log_count_sum(subset)
-                    )
-            runs.append(greedy_score_search(ds))
+    assert_same_bic_sums(discovery._BicCache(ds), oracle.BicCache(ds), ds)
+    graph, trace = greedy_score_search(ds)
 
     monkeypatch.setattr(discovery, "_BicCache", oracle.BicCache)
     slow_graph, slow_trace = greedy_score_search(ds)
-    for graph, trace in runs:
-        assert graph == slow_graph
-        assert repr(trace) == repr(slow_trace)
+    assert graph == slow_graph
+    assert repr(trace) == repr(slow_trace)
 
 
 @settings(max_examples=300, deadline=None)
@@ -345,13 +338,11 @@ def test_bic_counts_and_greedy_trace_match_oracle_on_random_tables(ds):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(discovery, "_BicCache", oracle.BicCache)
         want = outcome(greedy_score_search, ds)
-    for route in ROUTES_OF_COUNT:
-        with on_route(route):
-            assert_same_bic_sums(outcome(discovery._BicCache, ds), slow, ds)
-            got = outcome(greedy_score_search, ds)
-        # a graph and its trace, or an error's type and message
-        assert got[0] == want[0]
-        assert repr(got[1]) == repr(want[1])
+    assert_same_bic_sums(outcome(discovery._BicCache, ds), slow, ds)
+    got = outcome(greedy_score_search, ds)
+    # a graph and its trace, or an error's type and message
+    assert got[0] == want[0]
+    assert repr(got[1]) == repr(want[1])
 
 
 def assert_same_bic_sums(cache, slow, ds) -> None:
@@ -408,11 +399,9 @@ def test_ci_tests_and_bic_sums_match_oracle_on_seeded_tables(seed):
                         outcome(ci_test, ds, y, x, z, min_expected=min_expected), want
                     )
         slow = outcome(oracle.BicCache, ds)
-        for route in ROUTES_OF_COUNT:
-            with on_route(route):
-                assert_same_bic_sums(outcome(discovery._BicCache, ds), slow, ds)
-    # the tables span both sides of the row-count bound
-    assert 10 < dense < 50
+        assert_same_bic_sums(outcome(discovery._BicCache, ds), slow, ds)
+    # the tables span both sides of the record-count bound
+    assert 4 < dense < 56
 
 
 def test_counts_over_a_wide_table_allocate_no_dense_table():
@@ -434,8 +423,9 @@ def test_counts_over_a_wide_table_allocate_no_dense_table():
     finally:
         tracemalloc.stop()
     assert got == oracle.counts(ds, columns)
-    # the joint space has 2**70 cells, and the dense table would hold 3**70;
-    # the counting stays within the data's size
+    # the joint space has 2**70 cells, and the dense table would hold 3**70
+    # with the slots for missing cells; the counting stays within the
+    # data's size
     assert peak < 4 * 2**20
     assert ds._joint() is None
     for result, (x, y, z) in zip(tests, calls):
@@ -448,24 +438,32 @@ def test_counts_over_a_wide_table_allocate_no_dense_table():
     ).log_count_sum(every)
 
 
-@pytest.mark.parametrize("missing_rows", [0, 1])
-def test_the_dense_table_is_built_only_within_the_row_count(missing_rows):
-    # 3 * 3 * 4 = 36 joint cells, slot 0 of each axis for a missing cell
+@pytest.mark.parametrize("missing", [False, True])
+@pytest.mark.parametrize("dropped", [0, 1])
+def test_the_dense_table_is_built_only_within_the_record_count(missing, dropped):
+    # 2 * 2 * 3 = 12 joint cells, and a column with a missing cell has one
+    # more slot: 3 * 2 * 3 = 18 where column a misses some
     states = {"a": ("1", "0"), "b": ("x", "y"), "c": ("q", "p", "r")}
+    records = list(product(*states.values()))
+    if missing:
+        records += [(None, b, c) for b, c in product(states["b"], states["c"])]
+    records = records[dropped:]
     rng = np.random.default_rng(3)
-    rows = [
-        tuple(None if rng.random() < 0.1 else rng.choice(s) for s in states.values())
-        for _ in range(36 - missing_rows)
-    ]
+    rows = [r for r in records for _ in range(rng.integers(1, 30))]
+    rng.shuffle(rows)
     ds = DiscreteDataset(list(states), rows, states)
     table = ds._joint()
-    if missing_rows:
+    if dropped:
         assert table is None
     else:
-        assert table.shape == (3, 3, 4)
-        assert table.nbytes == 8 * len(ds)
+        assert table.shape == ((3 if missing else 2), 2, 3)
+        assert table.size == len(records)
         assert table.sum() == len(ds)
-    for x, y in combinations(ds.columns, 2):
+        # by label rank: a's "1" is slot 1, c's "r" slot 2; missing is last
+        assert table[1, 0, 2] == rows.count(("1", "x", "r"))
+        if missing:
+            assert table[2].sum() == sum(r[0] is None for r in rows)
+    for x, y in permutations(ds.columns, 2):
         rest = [c for c in ds.columns if c not in (x, y)]
         for z in ([], rest):
             for min_expected in (0.0, 1.0, 5.0):
