@@ -31,8 +31,8 @@ import importlib
 # each submodule and the names it exports; `from causalkit import *` binds both
 _EXPORTS = {
     "bandits": (
-        "BanditEnv", "BetaPosterior", "CausalThompsonPolicy", "EpsilonGreedyPolicy",
-        "OraclePolicy", "Round", "RunResult", "ThompsonPolicy", "UniformPolicy",
+        "BanditEnv", "CausalThompsonPolicy", "EpsilonGreedyPolicy", "OraclePolicy",
+        "Round", "RunResult", "ThompsonPolicy", "UniformPolicy",
         "env_from_dict", "env_to_dict", "make_policy", "simulate",
     ),
     "data": ("MISSING", "DiscreteDataset", "ProbTable", "empirical_joint"),

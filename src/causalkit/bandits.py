@@ -27,27 +27,6 @@ from .errors import MissingIntent, SchemaMismatch, UnknownArm
 
 
 @dataclass(frozen=True)
-class BetaPosterior:
-    alpha: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("Beta parameters must be positive")
-
-    def update(self, reward: int) -> "BetaPosterior":
-        if reward not in (0, 1):
-            raise ValueError("reward must be 0 or 1")
-        return BetaPosterior(self.alpha + reward, self.beta + (1 - reward))
-
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(rng.beta(self.alpha, self.beta))
-
-
-@dataclass(frozen=True)
 class BanditEnv:
     """Arm success probabilities, per confounder state.
 
@@ -184,10 +163,6 @@ class EpsilonGreedyPolicy:
     def observe(self, arm: int, reward: int, intent=None) -> None:
         self.pulls[arm] += 1
         self.wins[arm] += reward
-
-    def seed_pull(self, arm: int, reward: int) -> None:
-        """Inject a fictitious prior pull (used to demonstrate lock-in)."""
-        self.observe(arm, reward)
 
 
 class CausalThompsonPolicy(ThompsonPolicy):

@@ -12,18 +12,39 @@ byte-identical logs for every environment, policy and seed.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from causalkit import (
     BanditEnv,
-    BetaPosterior,
     MissingIntent,
     Round,
     RunResult,
     UnknownArm,
 )
+
+
+@dataclass(frozen=True)
+class BetaPosterior:
+    alpha: float = 1.0
+    beta: float = 1.0
+
+    def __post_init__(self):
+        if self.alpha <= 0 or self.beta <= 0:
+            raise ValueError("Beta parameters must be positive")
+
+    def update(self, reward: int) -> "BetaPosterior":
+        if reward not in (0, 1):
+            raise ValueError("reward must be 0 or 1")
+        return BetaPosterior(self.alpha + reward, self.beta + (1 - reward))
+
+    def mean(self) -> float:
+        return self.alpha / (self.alpha + self.beta)
+
+    def sample(self, rng: np.random.Generator) -> float:
+        return float(rng.beta(self.alpha, self.beta))
 
 
 def thompson_step(

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandit_oracle
+from bandit_oracle import BetaPosterior
 
 from causalkit import (
     BanditEnv,
-    BetaPosterior,
     CausalThompsonPolicy,
     EpsilonGreedyPolicy,
     MissingIntent,
@@ -155,7 +155,7 @@ def test_pure_greedy_locks_onto_seeded_payout():
     env = fx.two_arm_env()
     policy = make_policy("greedy")
     policy.reset(env)
-    policy.seed_pull(1, 1)
+    policy.observe(1, 1)
     rng = np.random.default_rng(4)
     for _ in range(300):
         arm = policy.choose(rng)
@@ -174,7 +174,7 @@ def test_epsilon_exploration_breaks_lock_in():
     env = fx.two_arm_env()
     policy = EpsilonGreedyPolicy(0.1)
     policy.reset(env)
-    policy.seed_pull(1, 1)
+    policy.observe(1, 1)
     rng = np.random.default_rng(4)
     picks = []
     for _ in range(3000):

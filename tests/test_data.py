@@ -1,15 +1,20 @@
 """Dataset container, CSV interchange, and probability tables."""
 
 import argparse
+import csv
 import json
 import math
+import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csv_oracle
-from causalkit import cli
+from causalkit import cli, data
 from causalkit import fixtures as fx
 from causalkit import (
     MISSING,
@@ -192,6 +197,219 @@ def test_from_csv_matches_the_whole_text_oracle(case):
     assert _outcome(DiscreteDataset.from_csv, text, states) == _outcome(
         csv_oracle.from_csv, text, states
     )
+
+
+SLICE = data._SLICE
+# labels of one to four UTF-8 bytes a character, and a lone surrogate
+POOL = ["0", "1", "NA", "", "é", "日本", "𝔵x", "a b", "\ud800"]
+
+
+def _edges(text):
+    """Where each slice `_tokenise` reads a plain text's body in ends, as
+    offsets into the text with its "\r\n" line ends read as "\n"."""
+    lf = text.replace("\r\n", "\n")
+    edges = [lf.find("\n") + 1]
+    while 0 < edges[-1] < len(lf):
+        edges.append(lf.find("\n", edges[-1] + SLICE) + 1 or len(lf))
+    return edges[1:]
+
+
+def _body(rng, lines, slices, edge=()):
+    """At least `slices` slices' worth of lines drawn from `lines`, with the
+    lines `edge`, where given, put where a slice edge falls: a slice ends at
+    its first line end `SLICE` characters or more past its start."""
+    body, size, edge_at = [], 0, SLICE
+    while size < slices * SLICE:
+        line = rng.choice(lines)
+        for line in edge if edge and size + len(line) >= edge_at else [line]:
+            body.append(line)
+            if size + len(line) >= edge_at:
+                edge_at = size + len(line) + 1 + SLICE
+            size += len(line) + 1
+    return body
+
+
+def _rows(rng, width, distinct):
+    return [",".join(rng.choice(POOL) for _ in range(width)) for _ in range(distinct)]
+
+
+def _multi_slice_texts():
+    """(label, text, states) of texts four or more slices long."""
+    rng = random.Random(27)
+    header = "X,Y,Z"
+    few = _rows(rng, 3, 6)
+    cases = []
+    # lines straddle the slice edges; with and without a final line end
+    body = _body(rng, few, 5)
+    cases.append(("straddle", header + "\n" + "\n".join(body) + "\n", None))
+    cases.append(("no final line end", header + "\n" + "\n".join(body), None))
+    # a run of blank lines across every edge, with "\n" or "\r\n" ends
+    body = _body(rng, few, 5, edge=[""] * 40)
+    cases.append(("blank edges", header + "\n" + "\n".join(body) + "\n", None))
+    crlf = "".join(rng.choice(["\n", "\r\n"]) + line for line in body)
+    cases.append(("blank edges, crlf", header + crlf, None))
+    # lines longer than a slice
+    body = _body(rng, few, 6)
+    for at in (len(body) // 3, 2 * len(body) // 3):
+        body.insert(at, rng.choice([f"{'w' * 2 * SLICE},1,1", f"0,{'w' * SLICE},0"]))
+    cases.append(("long lines", header + "\n" + "\n".join(body) + "\n", None))
+    # repeated, then all-distinct, then repeated runs, each two slices long
+    distinct = [f"{i % 128},{i // 128},{POOL[i % 9]}" for i in range(SLICE // 4)]
+    body = _body(rng, few, 2) + distinct + _body(rng, few, 2)
+    cases.append(("distinct run", header + "\n" + "\n".join(body) + "\n", None))
+    # declared states, and errors found in a late slice only
+    states = {"X": sorted(set(POOL) - {"", "NA"}) + ["unseen"], "Y": POOL, "Z": POOL}
+    body = _body(rng, few, 5)
+    cases.append(("declared", header + "\n" + "\n".join(body) + "\n", states))
+    late = body[: -len(body) // 5] + ["ragged,row"] + body[-len(body) // 5 :]
+    cases.append(("ragged late", header + "\n" + "\n".join(late) + "\n", None))
+    narrow = dict(states, X=["0", "1"])
+    cases.append(("undeclared late", header + "\n" + "\n".join(body) + "\n", narrow))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+MULTI_SLICE = _multi_slice_texts()
+
+
+def _spy(monkeypatch):
+    """The results of every `_hashed_ids` call, None where it gave up."""
+    results = []
+    real = data._hashed_ids
+
+    def spy(chunk, ids):
+        results.append(real(chunk, ids))
+        return results[-1]
+
+    monkeypatch.setattr(data, "_hashed_ids", spy)
+    return results
+
+
+@pytest.mark.parametrize("label, text, states", MULTI_SLICE)
+def test_from_csv_matches_the_oracle_over_many_slices(monkeypatch, label, text, states):
+    edges = _edges(text)
+    assert len(edges) >= 4
+    if label.startswith("blank edges"):
+        lf = text.replace("\r\n", "\n")
+        assert all(lf[e - 2 : e + 1] == "\n\n\n" for e in edges[:-1])
+    hashed = _spy(monkeypatch)
+    assert _outcome(DiscreteDataset.from_csv, text, states) == _outcome(
+        csv_oracle.from_csv, text, states
+    )
+    read = [got is not None for got in hashed]
+    if label == "distinct run":
+        # hashing gives up on the first distinct slice, the next is read
+        # line by line without hashing, and hashing resumes after the run
+        assert len(hashed) < len(edges)
+        assert read[0] and not all(read) and read[-1]
+    elif label == "long lines":
+        # a slice holding a long line is read line by line
+        assert not all(read) and any(read)
+    else:
+        assert len(hashed) == len(edges) and all(read)
+
+
+def _one_hash(words):
+    return np.zeros(len(words[0]), np.uint64)
+
+
+@pytest.mark.parametrize("label, text, states", MULTI_SLICE)
+def test_hash_collisions_fall_back_to_each_line(monkeypatch, label, text, states):
+    """With every line hashed alike, no slice of two distinct lines passes
+    the exact check, and each is read line by line instead."""
+    monkeypatch.setattr(data, "_hash", _one_hash)
+    hashed = _spy(monkeypatch)
+    assert _outcome(DiscreteDataset.from_csv, text, states) == _outcome(
+        csv_oracle.from_csv, text, states
+    )
+    assert hashed and all(got is None for got in hashed)
+
+
+def test_one_distinct_line_passes_a_forced_collision(monkeypatch):
+    monkeypatch.setattr(data, "_hash", _one_hash)
+    hashed = _spy(monkeypatch)
+    text = "X,Y\n" + "é,1\n" * SLICE
+    assert _outcome(DiscreteDataset.from_csv, text, None) == _outcome(
+        csv_oracle.from_csv, text, None
+    )
+    assert len(hashed) == len(_edges(text)) and all(got is not None for got in hashed)
+
+
+def test_a_long_cell_among_short_rows_loads_within_bounds():
+    """10^5 short rows and one with a 100 KB cell, under the csv module's
+    field limit: no slice pads its short lines to the long one's width."""
+    rng = random.Random(5)
+    rows = [rng.choice(["0,1", "1,0", "1,1", "0,0", "0,NA"]) for _ in range(10**5)]
+    rows.insert(60_000, "x" * 100_000 + ",1")
+    assert 100_000 < csv.field_size_limit()
+    text = "a,b\n" + "\n".join(rows) + "\n"
+    start = time.process_time()
+    ds = DiscreteDataset.from_csv(text)
+    elapsed = time.process_time() - start
+    # about 10 ms; padding the long line's slice to its width would take
+    # 1.6 GB
+    assert elapsed < 0.5, f"{elapsed:.3f} s of CPU time"
+    assert _outcome(lambda t, s: ds, text, None) == _outcome(
+        csv_oracle.from_csv, text, None
+    )
+    tracemalloc.start()
+    try:
+        DiscreteDataset.from_csv(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the ids and codes of 10^5 rows: about 4 times the text's 0.5 MB, where
+    # a list of every line takes 14 times
+    assert peak < 8 * len(text), f"{peak} bytes traced"
+
+
+def _assert_seeded_records(ds):
+    """The records `from_csv` hands over group to those grouped afresh from
+    its codes."""
+    fresh = DiscreteDataset._from_codes(ds.columns, ds.codes, ds.states, len(ds))
+    handed, weights = ds._distinct
+    assert fresh._distinct[1] is None and ds._grouped is None
+    assert weights.sum() == len(ds) and (not len(ds) or weights.min() > 0)
+    assert all(len(handed[c]) == len(weights) for c in ds.columns)
+    (got, got_n), (want, want_n) = ds._records(), fresh._records()
+    assert list(got) == list(want) == list(reversed(ds.columns))
+    for c in ds.columns:
+        assert got[c].dtype == want[c].dtype and np.array_equal(got[c], want[c]), c
+    assert got_n.dtype == want_n.dtype and np.array_equal(got_n, want_n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(csv_cases())
+def test_from_csv_seeds_the_records_it_would_group(case):
+    text, states = case
+    head, _, body = text.partition("\n")
+    # every body line twice, so that at most half the rows are distinct lines
+    text = f"{head}\n{body}\n{body}"
+    try:
+        ds = DiscreteDataset.from_csv(text, states)
+    except SchemaMismatch:
+        return
+    if ('"' in text or "\r" in text.replace("\r\n", "\n")) and len(ds):
+        assert ds._distinct[1] is None  # read whole: one record per row
+    else:
+        _assert_seeded_records(ds)
+
+
+def test_lines_of_one_record_merge_in_the_seeded_records():
+    ds = DiscreteDataset.from_csv("x,y\n1,\n1,NA\n0,1\n1,\n1,NA\n1,NA\n")
+    _assert_seeded_records(ds)
+    _, multiplicity = ds._records()
+    assert multiplicity.tolist() == [1, 5]  # (0, 1) once, (1, missing) five times
+    # most rows distinct lines: the rows are grouped
+    ds = DiscreteDataset.from_csv("x,y\n1,\n1,NA\n0,1\n")
+    assert ds._distinct[1] is None
+    assert ds._records()[1].tolist() == [1, 2]
+    # seventy columns: the grouping id is relabelled past int64
+    rng = random.Random(3)
+    header = ",".join(f"c{i}" for i in range(70))
+    rows = [",".join(rng.choice("01") for _ in range(70)) for _ in range(30)]
+    ds = DiscreteDataset.from_csv(header + "\n" + "\n".join(rows * 3 + rows[:5]))
+    _assert_seeded_records(ds)
+    assert sorted(ds._records()[1].tolist()) == sorted([3] * 25 + [4] * 5)
 
 
 def test_csv_file_roundtrip(tmp_path):
